@@ -7,9 +7,10 @@ The package is organized as:
 - :mod:`cvwl.networks` — declarative network specs and the named state
   builders (GHZ, asymmetric/symmetric EPR-type, the biseparable
   counterexample mixture);
-- :mod:`cvwl.partitions` — bipartition enumeration and separability bounds;
-- :mod:`cvwl.witnesses` — the criteria (b1..b3, s1..s3, c1..c10) producing
-  normalized witness reports;
+- :mod:`cvwl.partitions` — bipartitions and the separability bounds, the
+  genuine bound taken over subset sums of the gain products;
+- :mod:`cvwl.witnesses` — the criteria (b1..b3, s1..s3, c1..c10), one table
+  row each, evaluated in batches and reported as normalized witnesses;
 - :mod:`cvwl.optimizer` — closed-form and numerical gain optimization plus
   parameter sweeps;
 - :mod:`cvwl.cli` — the ``cvwl`` command-line front end (CSV output).

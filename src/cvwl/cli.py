@@ -3,8 +3,7 @@ sweeps, and emit the canned reference grids — all as CSV on stdout or a file.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 numerical failure
 (non-physical state).  Mode indices are 1-based on the command line and in
-network files.  The environment variable CVWL_THREADS caps sweep
-parallelism for cold-start sweeps.
+network files.
 
 Network file format (one directive per line, '#' starts a comment):
 
@@ -236,7 +235,7 @@ def _gains_for(cfg: RunConfig, state):
         result = optimize_gains(state, cid, structure=structure, objective=cfg.objective)
         return result.gains, result
     values = _parse_gain_list(cfg.gains)
-    if cid in ("c5", "c6", "c8"):
+    if witnesses.lookup(cid).slots is witnesses.VECTOR:
         n = state.n_modes
         if len(values) == 2:
             structure = GainStructure("tied", n)
@@ -248,28 +247,17 @@ def _gains_for(cfg: RunConfig, state):
     return values, None
 
 
-_GAIN_COLUMNS = {
-    "b1": ("g1", "g2", "g3"), "b2": ("g1", "g2", "g3"), "b3": ("g1", "g2", "g3"),
-    "s1": ("g1", "g2", "g3"), "s2": ("g1", "g2", "g3"), "s3": ("g1", "g2", "g3"),
-    "c1": ("g1", "g2", "g3"), "c2": ("g1", "g2", "g3"),
-    "c9": ("g1", "g2", "g3", "g4"), "c10": ("g1", "g4"),
-}
-
-
 def _gain_cells(criterion, gains, n):
     """Column names and values describing the gains of one report row."""
-    cid = criterion
-    if cid in ("c3", "c4", "c7"):
-        return (), ()
-    if cid in ("c5", "c6", "c8"):
+    slots = witnesses.lookup(criterion).slots
+    if slots is witnesses.VECTOR:
         names = tuple(f"g{k + 1}" for k in range(n)) + tuple(f"h{k + 1}" for k in range(n))
         if gains is None:
             gains = witnesses.equal_split_gains(n)
         return names, tuple(gains.g) + tuple(gains.h)
-    names = _GAIN_COLUMNS[cid]
-    if gains is None:
-        gains = (0.0,) * len(names)
-    return names, tuple(gains)
+    if gains is None or not slots:
+        gains = (0.0,) * len(slots)
+    return slots, tuple(gains)
 
 
 def _write_rows(header, rows, output: Optional[str]):

@@ -23,8 +23,8 @@ from any bracketing cell.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,10 +32,11 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from . import networks, witnesses
 from .networks import build_counterexample, build_epr_type_i, build_epr_type_ii, build_ghz
-from .partitions import enumerate_bipartitions
 from .states import GainVector, State, apply_loss, second_moments, vacuum_state
 
 GRID_RANGE = (-2.0, 2.0)
+# grid rows evaluated at once; keeps the objective's temporaries in cache
+GRID_CHUNK = 1 << 14
 RATIO_TOL = 1e-8
 
 
@@ -70,6 +71,19 @@ def analytic_gains_epr1(n: int, r: float):
     return scale, -scale + 0.0
 
 
+# structure kind -> its parameter names
+KINDS = {
+    "tied": ("g", "h"),
+    "free_g3": ("g1", "g2", "g3"),
+    "tied_g": ("g",),
+    "free_g14": ("g1", "g4"),
+    "epr2": ("h_R", "h_L", "g_R"),
+    "fixed": (),
+}
+# the parameter each scalar gain copies, for the kinds without (h, g) rows
+_SCALAR_SOURCES = {"free_g3": (0, 1, 2), "tied_g": (0, 0, 0, 0), "free_g14": (0, 1), "fixed": ()}
+
+
 @dataclass(frozen=True)
 class GainStructure:
     """Tied-parameter layout mapping free parameters to criterion gains.
@@ -82,25 +96,51 @@ class GainStructure:
       - "epr2":    params (h_R, h_L, g_R) for c8 on the symmetric EPR state,
                    with g on the left-arm modes tied to h_L
       - "fixed":   no free parameters (c3, c4, c7)
+
+    Every kind copies parameters into a gain row (h_1..h_N, g_1..g_N for
+    "tied" and "epr2", the scalar gains otherwise); the entries that copy
+    none are mode 0's h_1 = g_1 = 1.
     """
 
     kind: str
     n_modes: int
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown structure kind {self.kind!r}; known: {', '.join(KINDS)}")
+
     @property
     def param_names(self):
-        return {
-            "tied": ("g", "h"),
-            "free_g3": ("g1", "g2", "g3"),
-            "tied_g": ("g",),
-            "free_g14": ("g1", "g4"),
-            "epr2": ("h_R", "h_L", "g_R"),
-            "fixed": (),
-        }[self.kind]
+        return KINDS[self.kind]
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
+
+    @cached_property
+    def _sources(self):
+        """The parameter index each gain-row entry copies (-1 for a 1), and
+        the positions of the 1s."""
+        if self.kind in _SCALAR_SOURCES:
+            sources = np.array(_SCALAR_SOURCES[self.kind], dtype=int)
+        else:
+            n = self.n_modes
+            h, g = np.full(n, -1), np.full(n, -1)
+            if self.kind == "tied":
+                h[1:], g[1:] = 1, 0
+            else:
+                right, left = (list(group) for group in networks.right_left_groups(n))
+                h[right], g[right] = 0, 2
+                h[left[1:]] = g[left[1:]] = 1
+            sources = np.concatenate((h, g))
+        return sources, np.flatnonzero(sources < 0)
+
+    def rows(self, params) -> np.ndarray:
+        """Gain rows, one per row of a (B, n_params) parameter array."""
+        sources, ones = self._sources
+        rows = np.asarray(params, dtype=float).take(sources, axis=1)
+        rows[:, ones] = 1.0
+        return rows
 
     def expand(self, params: Sequence[float]):
         """Criterion-level gains for one parameter point."""
@@ -110,191 +150,15 @@ class GainStructure:
                 f"structure {self.kind!r} takes {self.n_params} parameters, "
                 f"got {len(params)}"
             )
-        n = self.n_modes
-        if self.kind == "tied":
-            g, h = params
-            return GainVector((1.0,) + (h,) * (n - 1), (1.0,) + (g,) * (n - 1))
-        if self.kind == "free_g3":
-            return params
-        if self.kind == "tied_g":
-            return (params[0],) * 4
-        if self.kind == "free_g14":
-            return params
-        if self.kind == "epr2":
-            h_r, h_l, g_r = params
-            right, left = networks.right_left_groups(n)
-            h = np.zeros(n)
-            g = np.zeros(n)
-            h[0] = g[0] = 1.0
-            h[list(right)] = h_r
-            g[list(right)] = g_r
-            h[list(left[1:])] = h_l
-            g[list(left[1:])] = h_l
-            return GainVector(tuple(h), tuple(g))
-        if self.kind == "fixed":
-            return None
-        raise ValueError(f"unknown structure kind {self.kind!r}")
+        row = self.rows([params])[0]
+        if self.kind in ("tied", "epr2"):
+            return GainVector(row[:self.n_modes], row[self.n_modes:])
+        return tuple(float(v) for v in row) if self.n_params else None
 
 
 def default_structure(criterion: str, n_modes: int, name: Optional[str] = None) -> GainStructure:
     """The customary structure for a criterion, or a named override."""
-    cid = str(criterion).strip().lower()
-    if name is not None:
-        return GainStructure(name, n_modes)
-    if cid in ("c5", "c6", "c8"):
-        return GainStructure("tied", n_modes)
-    if cid in ("b1", "b2", "b3", "s1", "s2", "s3", "c1", "c2"):
-        return GainStructure("free_g3", n_modes)
-    if cid == "c9":
-        return GainStructure("tied_g", n_modes)
-    if cid == "c10":
-        return GainStructure("free_g14", n_modes)
-    if cid in ("c3", "c4", "c7"):
-        return GainStructure("fixed", n_modes)
-    raise ValueError(f"no optimization structure for criterion {criterion!r}")
-
-
-def _batch_var(c_block: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    return np.einsum("bi,ij,bj->b", coeffs, c_block, coeffs)
-
-
-def _batch_hg(structure: GainStructure, params: np.ndarray):
-    """Arrays H, G of shape (B, N) for GainVector-valued structures."""
-    n = structure.n_modes
-    b = params.shape[0]
-    h = np.zeros((b, n))
-    g = np.zeros((b, n))
-    h[:, 0] = g[:, 0] = 1.0
-    if structure.kind == "tied":
-        h[:, 1:] = params[:, 1][:, None]
-        g[:, 1:] = params[:, 0][:, None]
-    elif structure.kind == "epr2":
-        right, left = networks.right_left_groups(n)
-        h[:, list(right)] = params[:, 0][:, None]
-        g[:, list(right)] = params[:, 2][:, None]
-        if len(left) > 1:
-            h[:, list(left[1:])] = params[:, 1][:, None]
-            g[:, list(left[1:])] = params[:, 1][:, None]
-    else:
-        raise ValueError(f"structure {structure.kind!r} does not expand to (h, g)")
-    return h, g
-
-
-def _batch_forms_ratio(moments, n, forms_fn, n_gains, slots, params, ent_bound, steer_bound, objective, product):
-    """Ratio array for criteria built from fixed-h variance forms with free
-    scalar gains inserted at `slots[form][mode] = param index`."""
-    b = params.shape[0]
-    cxx = moments[:n, :n]
-    cpp = moments[n:, n:]
-    total = np.zeros(b)
-    base_forms = forms_fn(*([0.0] * n_gains))
-    for k, (_, h, g) in enumerate(base_forms):
-        hv = np.asarray(h)
-        var_u = float(hv @ cxx @ hv)
-        gmat = np.tile(np.asarray(g), (b, 1))
-        for mode, pidx in slots[k].items():
-            gmat[:, mode] = params[:, pidx]
-        var_v = _batch_var(cpp, gmat)
-        if product:
-            total += np.sqrt(var_u * var_v)
-        else:
-            total += var_u + var_v
-    if objective == "lhs":
-        return total
-    bound = steer_bound if objective == "steering" else ent_bound
-    return total / bound
-
-
-def _batch_ratio(state: State, criterion: str, structure: GainStructure,
-                 params: np.ndarray, objective: str) -> np.ndarray:
-    """Vectorized objective: normalized ratio at each parameter row."""
-    cid = str(criterion).strip().lower()
-    moments = second_moments(state)
-    n = state.n_modes
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    if cid in ("c5", "c6", "c8"):
-        h, g = _batch_hg(structure, params)
-        var_u = _batch_var(moments[:n, :n], h)
-        var_v = _batch_var(moments[n:, n:], g)
-        if objective == "lhs":
-            return np.sqrt(var_u * var_v) if cid == "c6" else var_u + var_v
-        prods = h * g
-        if objective == "steering":
-            if n != 3:
-                raise ValueError("steering objective needs a three-mode state")
-            bound = 2.0 * np.min(np.abs(prods), axis=1)
-        else:
-            sums = [
-                np.abs(prods[:, sorted(p.set_a)].sum(axis=1))
-                + np.abs(prods[:, sorted(p.set_b)].sum(axis=1))
-                for p in enumerate_bipartitions(n)
-            ]
-            bound = 2.0 * np.min(np.stack(sums), axis=0)
-        if cid == "c6":
-            lhs = np.sqrt(var_u * var_v)
-            bound = bound / 2.0
-        else:
-            lhs = var_u + var_v
-        with np.errstate(divide="ignore"):
-            return np.where(bound > 0.0, lhs / np.maximum(bound, 1e-300), np.inf)
-    if cid in ("c1", "c2"):
-        slots = ({2: 2}, {0: 0}, {1: 1})  # form k: free gain column -> param index
-        ent = 8.0 if cid == "c1" else 4.0
-        steer = 4.0 if cid == "c1" else 2.0
-        return _batch_forms_ratio(moments, 3, witnesses.vlf_forms_3, 3, slots, params,
-                                  ent, steer, objective, product=(cid == "c2"))
-    if cid in ("b1", "b2", "b3", "s1", "s2", "s3"):
-        k = int(cid[1]) - 1
-        slots_all = ({2: 2}, {0: 0}, {1: 1})
-        b = params.shape[0]
-        cxx, cpp = moments[:3, :3], moments[3:, 3:]
-        _, h, g = witnesses.vlf_forms_3(0.0, 0.0, 0.0)[k]
-        hv = np.asarray(h)
-        var_u = float(hv @ cxx @ hv)
-        gmat = np.tile(np.asarray(g), (b, 1))
-        for mode, pidx in slots_all[k].items():
-            gmat[:, mode] = params[:, pidx]
-        var_v = _batch_var(cpp, gmat)
-        if cid.startswith("s"):
-            lhs = np.sqrt(var_u * var_v)
-            bound = 1.0 if objective == "steering" else 2.0
-        else:
-            lhs = var_u + var_v
-            bound = 2.0 if objective == "steering" else 4.0
-        return lhs if objective == "lhs" else lhs / bound
-    if cid == "c9":
-        slots = ({2: 0, 3: 0}, {0: 0, 3: 0}, {1: 0, 3: 0},
-                 {0: 0, 1: 0}, {0: 0, 2: 0}, {1: 0, 2: 0})
-        if objective == "steering":
-            raise ValueError("no steering bound is defined for c9")
-        return _batch_forms_ratio(moments, 4, witnesses.vlf_forms_4, 4, slots, params,
-                                  12.0, None, objective, product=False)
-    if cid == "c10":
-        if objective == "steering":
-            raise ValueError("no steering bound is defined for c10")
-        cxx, cpp = moments[:4, :4], moments[4:, 4:]
-        hi = np.array([1.0, -1.0, -1.0, -1.0])
-        gi = np.array([1.0, 1.0, 1.0, -1.0])
-        i_val = float(hi @ cxx @ hi) + float(gi @ cpp @ gi)
-        h2 = np.array([0.0, 1.0, -1.0, 0.0])
-        var_u2 = float(h2 @ cxx @ h2)
-        b = params.shape[0]
-        g2 = np.tile(np.array([0.0, 1.0, 1.0, 0.0]), (b, 1))
-        g2[:, 0] = params[:, 0]
-        g2[:, 3] = params[:, 1]
-        var_v2 = _batch_var(cpp, g2)
-        total = i_val + var_u2 + var_v2
-        return total if objective == "lhs" else total / 4.0
-    if cid in ("c3", "c4", "c7"):
-        report = witnesses.evaluate(state, cid)
-        if objective == "lhs":
-            value = report.lhs
-        else:
-            value = report.steer_ratio if objective == "steering" else report.ent_ratio
-        if value is None:
-            raise ValueError(f"no steering bound is defined for {cid}")
-        return np.full(params.shape[0], value)
-    raise ValueError(f"unknown criterion {criterion!r}")
+    return GainStructure(name or witnesses.lookup(criterion).structure, n_modes)
 
 
 @dataclass(frozen=True)
@@ -318,16 +182,38 @@ class OptimizationResult:
     converged: bool
 
 
+def _objective(state: State, criterion: str, structure: GainStructure, objective: str):
+    """The minimized objective as a function of a (B, k) parameter array."""
+    crit = witnesses.lookup(criterion)
+    terms = witnesses.batch_terms(crit, second_moments(state))
+    n = state.n_modes
+    width = 2 * n if crit.slots is witnesses.VECTOR else len(crit.slots)
+    if structure.rows(np.zeros((1, structure.n_params))).shape[1] != width:
+        raise ValueError(f"structure {structure.kind!r} does not fit criterion {criterion}")
+
+    def at(params: np.ndarray) -> np.ndarray:
+        rows = structure.rows(params)
+        lhs = terms(rows)[-1]
+        if objective == "lhs":
+            return lhs
+        bound = witnesses.batch_bound(crit, rows, n, objective)
+        if bound is None:
+            raise ValueError(f"no {objective} bound is defined for {criterion} at {n} modes")
+        return np.where(bound > 0.0, lhs / np.maximum(bound, 1e-300), np.inf)
+
+    return at
+
+
 def optimize_gains(state: State, criterion: str,
                    structure: Optional[GainStructure] = None,
                    init: Optional[Sequence[float]] = None,
-                   objective: str = "entanglement",
-                   grid_step: Optional[float] = None) -> OptimizationResult:
+                   objective: str = "entanglement") -> OptimizationResult:
     """Minimize the normalized witness ratio over a tied gain structure.
 
     Cold start (no `init`): vectorized grid over [-2, 2]^k followed by
     Nelder-Mead refinement from the best cell.  Warm start: refinement from
-    `init` only.  Deterministic either way.
+    `init` only.  Deterministic either way.  `converged` reports whether
+    Nelder-Mead met its tolerances.
     """
     if objective not in ("entanglement", "steering", "lhs"):
         raise ValueError(
@@ -335,9 +221,10 @@ def optimize_gains(state: State, criterion: str,
     cid = str(criterion).strip().lower()
     structure = structure or default_structure(cid, state.n_modes)
     k = structure.n_params
+    batch = _objective(state, cid, structure, objective)
 
     def ratio_at(params) -> float:
-        return float(_batch_ratio(state, cid, structure, np.atleast_2d(params), objective)[0])
+        return float(batch(np.atleast_2d(params))[0])
 
     evaluations = 0
     if k == 0:
@@ -352,11 +239,12 @@ def optimize_gains(state: State, criterion: str,
                 raise ValueError(f"init must supply {k} values for {structure.param_names}")
             best_ratio = ratio_at(best)
         else:
-            step = grid_step if grid_step is not None else (0.01 if k <= 2 else 0.05)
+            step = 0.01 if k <= 2 else 0.05
             axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + step / 2.0, step)
-            grids = np.meshgrid(*([axis] * k), indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=1)
-            ratios = _batch_ratio(state, cid, structure, pts, objective)
+            pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")],
+                           axis=1)
+            ratios = np.concatenate([batch(pts[lo:lo + GRID_CHUNK])
+                                     for lo in range(0, len(pts), GRID_CHUNK)])
             floor = float(np.min(ratios))
             # flat objectives (e.g. every separable state at ratio 1) are
             # tie-broken toward the smallest gains
@@ -378,7 +266,7 @@ def optimize_gains(state: State, criterion: str,
         if np.isfinite(res.fun) and res.fun <= best_ratio:
             best, best_ratio = res.x, float(res.fun)
         best = tuple(float(v) for v in np.atleast_1d(best))
-        converged = bool(res.success) or abs(float(res.fun) - best_ratio) < RATIO_TOL
+        converged = bool(res.success)
         iterations = evaluations + int(res.nit)
 
     gains = structure.expand(best)
@@ -428,14 +316,6 @@ class SweepRow:
         return self.report.ent_ratio
 
 
-def _threads() -> int:
-    raw = os.environ.get("CVWL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(builder: str, n: int, criterion: str,
           r_values: Optional[Sequence[float]] = None,
           eta_values: Optional[Sequence[float]] = None,
@@ -452,8 +332,7 @@ def sweep(builder: str, n: int, criterion: str,
     (loss sweep at fixed `r`, applying efficiency eta to each mode in
     `loss_modes`, 0-based) must be given.  With `optimize`, each point is
     gain-optimized; `warm_start` seeds each point with the previous
-    optimum (the coarse grid still runs for the first point).  Honors
-    CVWL_THREADS for cold-start parallel evaluation.
+    optimum (the coarse grid still runs for the first point).
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")
@@ -470,32 +349,15 @@ def sweep(builder: str, n: int, criterion: str,
             state = apply_loss(state, mode, value)
         return state
 
-    values = list(r_values if r_values is not None else eta_values)
-
-    def solve(value: float, init) -> SweepRow:
+    rows, prev = [], None
+    for value in (r_values if r_values is not None else eta_values):
         state = state_at(value)
-        if optimize:
-            result = optimize_gains(state, criterion, structure=structure,
-                                    init=init, objective=objective)
-            return SweepRow(value, result.gains, result.report)
-        report = witnesses.evaluate(state, criterion, gains)
-        return SweepRow(value, gains, report)
-
-    if optimize and warm_start:
-        rows = []
-        prev = None
-        for value in values:
-            result = optimize_gains(state_at(value), criterion, structure=structure,
-                                    init=prev, objective=objective)
-            rows.append(SweepRow(value, result.gains, result.report))
-            prev = result.params if result.params else None
-        return rows
-
-    workers = _threads()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: solve(v, None), values))
-        return rows
-    return [solve(v, None) for v in values]
+        if not optimize:
+            rows.append(SweepRow(value, gains, witnesses.evaluate(state, criterion, gains)))
+            continue
+        result = optimize_gains(state, criterion, structure=structure, init=prev,
+                                objective=objective)
+        rows.append(SweepRow(value, result.gains, result.report))
+        if warm_start:
+            prev = result.params or None
+    return rows

@@ -43,8 +43,8 @@ class SqueezeSpec:
     orientation: str = SQUEEZE_X
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"squeeze parameter must be nonnegative, got {self.r}")
+        if not 0.0 <= self.r < np.inf:
+            raise ValueError(f"squeeze parameter must be finite and nonnegative, got {self.r}")
         if self.orientation not in (SQUEEZE_X, SQUEEZE_P):
             raise ValueError(
                 f"orientation must be {SQUEEZE_X!r} or {SQUEEZE_P!r}, "
@@ -68,6 +68,8 @@ class GainVector:
             )
         if not self.h:
             raise ValueError("gain vectors must be nonempty")
+        if not np.all(np.isfinite(self.h + self.g)):
+            raise ValueError(f"gains must be finite, got h={self.h}, g={self.g}")
 
     @property
     def n_modes(self) -> int:
@@ -191,7 +193,10 @@ def vacuum_state(n: int) -> GaussianState:
 
 def squeezed_vacuum(spec: SqueezeSpec) -> GaussianState:
     """Single-mode squeezed vacuum with variances exp(-2r) / exp(+2r)."""
-    lo, hi = np.exp(-2.0 * spec.r), np.exp(2.0 * spec.r)
+    with np.errstate(over="ignore"):
+        lo, hi = np.exp(-2.0 * spec.r), np.exp(2.0 * spec.r)
+    if not np.isfinite(hi):
+        raise PhysicalityError(f"squeeze parameter r = {spec.r} overflows exp(2r)")
     if spec.orientation == SQUEEZE_X:
         return GaussianState(np.diag([lo, hi]))
     return GaussianState(np.diag([hi, lo]))

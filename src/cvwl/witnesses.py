@@ -26,6 +26,12 @@ c10         I + B_II where I pairs (x1 - x4) against (x2 + x3)     4
 Steering bounds: 2 for each B form, 1 for each S form, 4 for c1, 2 for c2,
 1 for c3, 0.5 for c4, and 2 min_i |h_i g_i| (half that for the product
 form) for c5/c6 and for c8 at three modes.
+
+Each criterion is described once, as a row of :data:`TABLE`: its forms as
+(h, g) templates with named gain slots, how their terms combine, and its
+two bounds.  :func:`batch_terms` and :func:`batch_bound` evaluate a row at
+a batch of gain rows; :func:`evaluate` is a batch of one, and the gain
+optimizer calls the same two functions on its grid and simplex points.
 """
 
 from __future__ import annotations
@@ -35,13 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import genuine_bound, steering_bound
-from .states import GainVector, State, quadrature_variances
-
-CRITERIA = (
-    "b1", "b2", "b3", "s1", "s2", "s3",
-    "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10",
-)
+from .partitions import genuine_bounds, steering_bounds
+from .states import GainVector, State, second_moments
 
 
 @dataclass(frozen=True)
@@ -95,186 +96,170 @@ def equal_split_gains(n: int) -> GainVector:
     return GainVector((1.0,) + (-c,) * (n - 1), (1.0,) + (c,) * (n - 1))
 
 
-def _require_modes(state: State, n: int, what: str):
-    if state.n_modes != n:
-        raise ValueError(f"{what} needs a {n}-mode state, got {state.n_modes} modes")
+# The forms of van Loock & Furusawa (PRA 67, 052315): form k differences one
+# mode pair in x against the total momentum, with a free gain on every mode
+# outside the pair.  A string in a g template names the scalar gain it takes.
+_B3 = (
+    ("B_I", (1, -1, 0), (1, 1, "g3")),
+    ("B_II", (0, 1, -1), ("g1", 1, 1)),
+    ("B_III", (1, 0, -1), (1, "g2", 1)),
+)
+_S3 = tuple(("S" + name[1:], h, g) for name, h, g in _B3)
+_B4 = (
+    ("B_I", (1, -1, 0, 0), (1, 1, "g3", "g4")),
+    ("B_II", (0, 1, -1, 0), ("g1", 1, 1, "g4")),
+    ("B_III", (1, 0, -1, 0), (1, "g2", 1, "g4")),
+    ("B_IV", (0, 0, 1, -1), ("g1", "g2", 1, 1)),
+    ("B_V", (0, 1, 0, -1), ("g1", 1, "g3", 1)),
+    ("B_VI", (1, 0, 0, -1), (1, "g2", "g3", 1)),
+)
+_UNIT3 = tuple((name, h, tuple(1 if isinstance(v, str) else v for v in g)) for name, h, g in _B3)
+_SPLIT3 = equal_split_gains(3)
+_G3 = ("g1", "g2", "g3")
+
+# `slots` value of the criteria whose gains are a whole GainVector (h, g)
+VECTOR = None
+# a bound set by the gains: the minimum over bipartitions (entanglement) or
+# 2 min_i |h_i g_i| at three modes (steering), halved for a product
+BY_GAINS = "gains"
 
 
-def _as_triple(gains):
-    if gains is None:
-        return (0.0, 0.0, 0.0)
-    g = tuple(float(v) for v in gains)
-    if len(g) != 3:
-        raise ValueError(f"expected three gain values, got {len(g)}")
-    return g
+@dataclass(frozen=True)
+class Criterion:
+    """One row of :data:`TABLE`.
 
-
-def vlf_forms_3(g1: float, g2: float, g3: float):
-    """The three 3-mode variance forms, as (name, h, g) coefficient triples.
-
-    Form k pairs the position difference of one mode pair against the total
-    momentum with one adjustable gain: B_I uses g3, B_II uses g1, B_III g2.
+    `forms` are (name, h, g) templates of the combinations u = sum h_i x_i
+    and v = sum g_i p_i; the h are fixed and a g entry may name one of the
+    scalar gains in `slots`.  A criterion with `slots` VECTOR has a single
+    form whose (h, g) is the gain vector itself.  `combine` adds each
+    form's Var u + Var v ("sum") or Delta u Delta v ("product"), or takes
+    the least sum of two of three forms ("pair").  `structure` names the
+    optimizer's default gain structure.
     """
-    return (
-        ("B_I", (1.0, -1.0, 0.0), (1.0, 1.0, g3)),
-        ("B_II", (0.0, 1.0, -1.0), (g1, 1.0, 1.0)),
-        ("B_III", (1.0, 0.0, -1.0), (1.0, g2, 1.0)),
-    )
+
+    report_id: str
+    n_modes: int | None
+    slots: tuple | None
+    forms: tuple
+    combine: str
+    ent_bound: float | str
+    steer_bound: float | str | None
+    structure: str
+    h: np.ndarray = field(init=False, repr=False, compare=False)
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    slot_entries: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Arrays of the templates: h and g as (F, N), and the (form, mode,
+        slot) indices of every g entry that takes a scalar gain."""
+        g = [[0.0 if isinstance(v, str) else v for v in form[2]] for form in self.forms]
+        entries = [(k, mode, self.slots.index(v)) for k, form in enumerate(self.forms)
+                   for mode, v in enumerate(form[2]) if isinstance(v, str)]
+        object.__setattr__(self, "h", np.array([form[1] for form in self.forms], dtype=float))
+        object.__setattr__(self, "g", np.array(g, dtype=float))
+        object.__setattr__(self, "slot_entries",
+                           tuple(np.array(entries, dtype=int).reshape(-1, 3).T))
+
+    def gain_row(self, gains, n: int) -> np.ndarray:
+        """The evaluator's gain row for `evaluate`'s `gains` argument:
+        h_1..h_N, g_1..g_N for VECTOR criteria (default
+        :func:`equal_split_gains`), else the scalar gains (default zero;
+        ignored when the criterion has none)."""
+        if self.slots is VECTOR:
+            gains = equal_split_gains(n) if gains is None else gains
+            if gains.n_modes != n:
+                raise ValueError(f"gain length {gains.n_modes} does not match {n} modes")
+            return np.array(gains.h + gains.g)
+        if gains is None or not self.slots:
+            return np.zeros(len(self.slots))
+        values = np.array([float(v) for v in gains])
+        if len(values) != len(self.slots):
+            raise ValueError(f"{self.report_id} takes {len(self.slots)} gain values "
+                             f"({', '.join(self.slots)}), got {len(values)}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"gains must be finite, got {tuple(values)}")
+        return values
 
 
-def vlf_forms_4(g1: float, g2: float, g3: float, g4: float):
-    """The six 4-mode variance forms B_I..B_VI."""
-    return (
-        ("B_I", (1.0, -1.0, 0.0, 0.0), (1.0, 1.0, g3, g4)),
-        ("B_II", (0.0, 1.0, -1.0, 0.0), (g1, 1.0, 1.0, g4)),
-        ("B_III", (1.0, 0.0, -1.0, 0.0), (1.0, g2, 1.0, g4)),
-        ("B_IV", (0.0, 0.0, 1.0, -1.0), (g1, g2, 1.0, 1.0)),
-        ("B_V", (0.0, 1.0, 0.0, -1.0), (g1, 1.0, g3, 1.0)),
-        ("B_VI", (1.0, 0.0, 0.0, -1.0), (1.0, g2, g3, 1.0)),
-    )
+TABLE = {
+    # id: report, modes, gain slots, forms, combine, ent bound, steer bound, structure
+    "b1": Criterion("B_I", 3, _G3, _B3[0:1], "sum", 4.0, 2.0, "free_g3"),
+    "b2": Criterion("B_II", 3, _G3, _B3[1:2], "sum", 4.0, 2.0, "free_g3"),
+    "b3": Criterion("B_III", 3, _G3, _B3[2:3], "sum", 4.0, 2.0, "free_g3"),
+    "s1": Criterion("S_I", 3, _G3, _S3[0:1], "product", 2.0, 1.0, "free_g3"),
+    "s2": Criterion("S_II", 3, _G3, _S3[1:2], "product", 2.0, 1.0, "free_g3"),
+    "s3": Criterion("S_III", 3, _G3, _S3[2:3], "product", 2.0, 1.0, "free_g3"),
+    "c1": Criterion("C1", 3, _G3, _B3, "sum", 8.0, 4.0, "free_g3"),
+    "c2": Criterion("C2", 3, _G3, _S3, "product", 4.0, 2.0, "free_g3"),
+    "c3": Criterion("C3", 3, (), (("C", _SPLIT3.h, _SPLIT3.g),), "sum", 2.0, 1.0, "fixed"),
+    "c4": Criterion("C4", 3, (), (("C", _SPLIT3.h, _SPLIT3.g),), "product", 1.0, 0.5, "fixed"),
+    "c5": Criterion("C5", 3, VECTOR, (), "sum", BY_GAINS, BY_GAINS, "tied"),
+    "c6": Criterion("C6", 3, VECTOR, (), "product", BY_GAINS, BY_GAINS, "tied"),
+    "c7": Criterion("C7", 3, (), _UNIT3, "pair", 4.0, None, "fixed"),
+    "c8": Criterion("C8", None, VECTOR, (), "sum", BY_GAINS, BY_GAINS, "tied"),
+    "c9": Criterion("C9", 4, ("g1", "g2", "g3", "g4"), _B4, "sum", 12.0, None, "tied_g"),
+    "c10": Criterion("C10", 4, ("g1", "g4"),
+                     (("I", (1, -1, -1, -1), (1, 1, 1, -1)), _B4[1]), "sum", 4.0, None, "free_g14"),
+}
+CRITERIA = tuple(TABLE)
 
 
-_WHICH = {"i": 0, "ii": 1, "iii": 2, "1": 0, "2": 1, "3": 2}
-
-
-def _vlf_variances(state, which, gains):
-    _require_modes(state, 3, "a three-mode variance form")
-    g1, g2, g3 = _as_triple(gains)
+def lookup(cid: str) -> Criterion:
+    """The table row of a criterion id (case and surrounding space ignored)."""
     try:
-        name, h, g = vlf_forms_3(g1, g2, g3)[_WHICH[str(which).lower()]]
+        return TABLE[str(cid).strip().lower()]
     except KeyError:
-        raise ValueError(f"form selector must be I, II or III, got {which!r}") from None
-    var_u, var_v = quadrature_variances(state, GainVector(h, g))
-    return name, var_u, var_v
+        raise ValueError(f"unknown criterion {cid!r}; known ids: {', '.join(CRITERIA)}") from None
 
 
-def vlf(state: State, which, gains=None) -> WitnessReport:
-    """One variance-sum form B_I, B_II or B_III; B < 4 rules out the two
-    bipartitions separating the differenced modes (steering bound 2)."""
-    name, var_u, var_v = _vlf_variances(state, which, gains)
-    return WitnessReport(name, var_u + var_v, 4.0, 2.0,
-                         {"var_u": var_u, "var_v": var_v})
+def _quad(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The quadratic form of `block` at each row of a 2-D coefficient array."""
+    return np.einsum("bi,bi->b", coeffs @ block, coeffs)
 
 
-def vlf_product(state: State, which, gains=None) -> WitnessReport:
-    """Product form S = Delta u Delta v of the same combination (bound 2,
-    steering bound 1); always at most half the matching sum form."""
-    name, var_u, var_v = _vlf_variances(state, which, gains)
-    return WitnessReport("S" + name[1:], math.sqrt(var_u * var_v), 2.0, 1.0,
-                         {"var_u": var_u, "var_v": var_v})
+def batch_terms(crit: Criterion, moments: np.ndarray):
+    """A criterion on one state, as a function of a (B, m) array of gain rows.
 
-
-def criterion_sum_vlf(state: State, gains=None) -> WitnessReport:
-    """Criterion C1: B_I + B_II + B_III < 8 certifies genuine tripartite
-    entanglement; < 4 certifies genuine tripartite steering."""
-    reports = [vlf(state, w, gains) for w in ("I", "II", "III")]
-    details = {r.criterion_id: r.lhs for r in reports}
-    return WitnessReport("C1", sum(r.lhs for r in reports), 8.0, 4.0, details)
-
-
-def criterion_product_vlf(state: State, gains=None) -> WitnessReport:
-    """Criterion C2: S_I + S_II + S_III < 4 (entanglement), < 2 (steering)."""
-    reports = [vlf_product(state, w, gains) for w in ("I", "II", "III")]
-    details = {r.criterion_id: r.lhs for r in reports}
-    return WitnessReport("C2", sum(r.lhs for r in reports), 4.0, 2.0, details)
-
-
-def criterion_simple(state: State):
-    """Criteria C3 (sum, bound 2) and C4 (product, bound 1) at the fixed
-    gains (1, -1/sqrt2, -1/sqrt2) / (1, 1/sqrt2, 1/sqrt2).
-
-    These bounds demand 50% more noise reduction than the bipartite bound
-    (4 for the 1|23 split) at the same gains.  Steering bounds: 1 and 0.5.
+    The function returns Var u and Var v of every form (B x F, or 1 x F
+    where the form is fixed), every form's term (B x F) and the left-hand
+    side (B,).
     """
-    _require_modes(state, 3, "the fixed-gain criterion")
-    var_u, var_v = quadrature_variances(state, equal_split_gains(3))
-    details = {"var_u": var_u, "var_v": var_v}
-    return (
-        WitnessReport("C3", var_u + var_v, 2.0, 1.0, details),
-        WitnessReport("C4", math.sqrt(var_u * var_v), 1.0, 0.5, details),
-    )
+    n = moments.shape[0] // 2
+    if crit.n_modes not in (None, n):
+        raise ValueError(f"{crit.report_id} needs a {crit.n_modes}-mode state, got {n} modes")
+    cxx, cpp = moments[:n, :n], moments[n:, n:]
+    form, mode, slot = crit.slot_entries
+    fixed_u = None if crit.slots is VECTOR else _quad(crit.h, cxx)[None]
+
+    def at(rows: np.ndarray):
+        if crit.slots is VECTOR:
+            var_u, var_v = _quad(rows[:, :n], cxx)[:, None], _quad(rows[:, n:], cpp)[:, None]
+        else:
+            g = crit.g[None].repeat(len(rows), axis=0)
+            g[:, form, mode] = rows[:, slot]
+            var_u, var_v = fixed_u, _quad(g.reshape(-1, n), cpp).reshape(len(rows), -1)
+        terms = np.sqrt(var_u * var_v) if crit.combine == "product" else var_u + var_v
+        if crit.combine == "pair":
+            return var_u, var_v, terms, np.min(terms[:, [0, 0, 1]] + terms[:, [1, 2, 2]], axis=1)
+        return var_u, var_v, terms, terms.sum(axis=1)
+
+    return at
 
 
-def criterion_general(state: State, gains: GainVector):
-    """Criteria C5 (sum) and C6 (product) with free three-mode gains.
-
-    The entanglement bound is minimized over the three bipartitions
-    (2 min{...} for the sum, half that for the product); the steering bound
-    is 2 min_i |h_i g_i| (respectively min_i |h_i g_i|).
-    """
-    _require_modes(state, 3, "the generalized three-mode criterion")
-    var_u, var_v = quadrature_variances(state, gains)
-    bound = genuine_bound(gains, 3)
-    sbound = steering_bound(gains)
-    details = {"var_u": var_u, "var_v": var_v}
-    return (
-        WitnessReport("C5", var_u + var_v, bound, sbound, details),
-        WitnessReport("C6", math.sqrt(var_u * var_v), bound / 2.0, sbound / 2.0, details),
-    )
-
-
-def criterion_two_vlf(state: State) -> WitnessReport:
-    """Criterion C7: the smallest pair sum B_J + B_K at unit gains; any pair
-    below 4 certifies genuine tripartite entanglement."""
-    _require_modes(state, 3, "the two-form criterion")
-    values = {r.criterion_id: r.lhs for w in ("I", "II", "III")
-              for r in [vlf(state, w, (1.0, 1.0, 1.0))]}
-    pairs = {
-        "B_I+B_II": values["B_I"] + values["B_II"],
-        "B_I+B_III": values["B_I"] + values["B_III"],
-        "B_II+B_III": values["B_II"] + values["B_III"],
-    }
-    details = dict(values)
-    details.update(pairs)
-    return WitnessReport("C7", min(pairs.values()), 4.0, None, details)
-
-
-def criterion_npartite(state: State, gains: GainVector) -> WitnessReport:
-    """Criterion C8: the single N-mode inequality with the bound minimized
-    over all 2^(N-1) - 1 bipartitions.  Steering bound only at N=3."""
-    n = state.n_modes
-    if gains.n_modes != n:
-        raise ValueError(f"gain length {gains.n_modes} does not match {n} modes")
-    var_u, var_v = quadrature_variances(state, gains)
-    bound = genuine_bound(gains, n)
-    sbound = steering_bound(gains) if n == 3 else None
-    return WitnessReport("C8", var_u + var_v, bound, sbound,
-                         {"var_u": var_u, "var_v": var_v})
-
-
-def criterion_four_sum(state: State, gains=None) -> WitnessReport:
-    """Criterion C9: B_I + ... + B_VI < 12 certifies genuine four-partite
-    entanglement (for symmetric states each form must drop below 2)."""
-    _require_modes(state, 4, "the six-form criterion")
-    if gains is None:
-        gains = (0.0, 0.0, 0.0, 0.0)
-    g = tuple(float(v) for v in gains)
-    if len(g) != 4:
-        raise ValueError(f"expected four gain values, got {len(g)}")
-    details = {}
-    total = 0.0
-    for name, h, gv in vlf_forms_4(*g):
-        var_u, var_v = quadrature_variances(state, GainVector(h, gv))
-        details[name] = var_u + var_v
-        total += var_u + var_v
-    return WitnessReport("C9", total, 12.0, None, details)
-
-
-def criterion_combined(state: State, g1: float = 0.0, g4: float = 0.0) -> WitnessReport:
-    """Criterion C10: I + B_II < 4, where I pairs Var((x1 - x4) - (x2 + x3))
-    with Var(p1 - p4 + p2 + p3) (1-based labels) and B_II carries free
-    gains on modes 1 and 4.  Tailored to the symmetric EPR-type state,
-    whose bipartitions 12|34 and 13|24 are invisible to I alone."""
-    _require_modes(state, 4, "the combined criterion")
-    vi_u, vi_v = quadrature_variances(
-        state, GainVector((1.0, -1.0, -1.0, -1.0), (1.0, 1.0, 1.0, -1.0))
-    )
-    _, h2, g2 = vlf_forms_4(float(g1), 0.0, 0.0, float(g4))[1]
-    vb_u, vb_v = quadrature_variances(state, GainVector(h2, g2))
-    i_val = vi_u + vi_v
-    b_val = vb_u + vb_v
-    return WitnessReport("C10", i_val + b_val, 4.0, None,
-                         {"I": i_val, "B_II": b_val})
+def batch_bound(crit: Criterion, rows: np.ndarray, n: int, objective: str = "entanglement"):
+    """The entanglement or steering bound at each gain row, or None where
+    the criterion defines none."""
+    value = crit.ent_bound if objective == "entanglement" else crit.steer_bound
+    if value != BY_GAINS:
+        return None if value is None else np.full(len(rows), value)
+    products = rows[:, :n] * rows[:, n:]
+    if objective == "entanglement":
+        bound = genuine_bounds(products)
+    elif n == 3:
+        bound = steering_bounds(products)
+    else:
+        return None
+    return bound / 2.0 if crit.combine == "product" else bound
 
 
 def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
@@ -285,34 +270,14 @@ def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
     c1/c2, (g1..g4) for c9, (g1, g4) for c10, and ignored for c3/c4/c7.
     Unsupplied scalar gains default to zero.
     """
-    cid = str(criterion).strip().lower()
-    if cid in ("b1", "b2", "b3"):
-        return vlf(state, cid[1], gains)
-    if cid in ("s1", "s2", "s3"):
-        return vlf_product(state, cid[1], gains)
-    if cid == "c1":
-        return criterion_sum_vlf(state, gains)
-    if cid == "c2":
-        return criterion_product_vlf(state, gains)
-    if cid in ("c3", "c4"):
-        pair = criterion_simple(state)
-        return pair[0] if cid == "c3" else pair[1]
-    if cid in ("c5", "c6"):
-        gv = gains if gains is not None else equal_split_gains(state.n_modes)
-        pair = criterion_general(state, gv)
-        return pair[0] if cid == "c5" else pair[1]
-    if cid == "c7":
-        return criterion_two_vlf(state)
-    if cid == "c8":
-        gv = gains if gains is not None else equal_split_gains(state.n_modes)
-        return criterion_npartite(state, gv)
-    if cid == "c9":
-        return criterion_four_sum(state, gains)
-    if cid == "c10":
-        if gains is None:
-            return criterion_combined(state)
-        g = tuple(float(v) for v in gains)
-        if len(g) != 2:
-            raise ValueError(f"c10 takes two gain values (g1, g4), got {len(g)}")
-        return criterion_combined(state, *g)
-    raise ValueError(f"unknown criterion {criterion!r}; known ids: {', '.join(CRITERIA)}")
+    crit = lookup(criterion)
+    n = state.n_modes
+    rows = crit.gain_row(gains, n)[None]
+    var_u, var_v, terms, lhs = batch_terms(crit, second_moments(state))(rows)
+    if terms.shape[1] == 1:
+        details = {"var_u": float(var_u[0, 0]), "var_v": float(var_v[0, 0])}
+    else:
+        details = {name: float(t) for (name, _, _), t in zip(crit.forms, terms[0])}
+    steer = batch_bound(crit, rows, n, "steering")
+    return WitnessReport(crit.report_id, float(lhs[0]), float(batch_bound(crit, rows, n)[0]),
+                         None if steer is None else float(steer[0]), details)

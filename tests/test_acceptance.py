@@ -42,7 +42,6 @@ from cvwl import (
     sweep,
 )
 from cvwl.partitions import Bipartition
-from cvwl.witnesses import vlf
 from conftest import random_biseparable_mixture, random_state
 
 R_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -195,7 +194,7 @@ def test_criterion_05_thresholds():
         state = build_ghz(3, r)
         for g in (0.5, 0.9, 1.0):
             total = evaluate(state, "c1", (g, g, g))
-            single = vlf(state, "I", (g, g, g))
+            single = evaluate(state, "b1", (g, g, g))
             if total.verdict_entanglement != (single.lhs < 8 / 3):
                 ok = False
                 detail = f"threshold mismatch at r={r:.2f}, g={g}"
@@ -241,8 +240,8 @@ def test_criterion_06_counterexample():
     best = {}
     for r in (0.5, 1.0):
         mixture = build_counterexample(r)
-        best[r] = (min(vlf(mixture, "I", (0, 0, g)).lhs for g in grid),
-                   min(vlf(mixture, "II", (g, 0, 0)).lhs for g in grid))
+        best[r] = (min(evaluate(mixture, "b1", (0, 0, g)).lhs for g in grid),
+                   min(evaluate(mixture, "b2", (g, 0, 0)).lhs for g in grid))
         # the grid holds a point within step/2 of the minimiser, so its
         # minimum exceeds the exact one by at most curvature/2 * (step/2)^2
         exact, curvature = _counterexample_min_b(r)

@@ -197,6 +197,17 @@ class TestExitCodes:
                      "--criterion", "c3"]) == EXIT_NUMERICAL
         assert "numerical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("criterion,gains", [("c5", "1,nan"), ("c1", "0,nan,0")])
+    def test_non_finite_gains_are_configuration_errors(self, criterion, gains, capsys):
+        assert main(["witness", "--state", "ghz", "--n", "3", "--r", "1",
+                     "--criterion", criterion, "--gains", gains]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_r_is_a_configuration_error(self, capsys):
+        assert main(["witness", "--state", "ghz", "--n", "3", "--r", "nan",
+                     "--criterion", "c3"]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_values_for_sweep(self):
         assert main(["sweep", "--state", "ghz", "--n", "3", "--criterion", "c5",
                      "--values", ""]) == EXIT_CONFIG

@@ -13,6 +13,7 @@ from cvwl import (
     build_epr_type_ii,
     build_ghz,
     equal_split_gains,
+    evaluate,
     execute,
     permute_modes,
     quadrature_variances,
@@ -20,7 +21,6 @@ from cvwl import (
     two_mode_squeezed,
 )
 from cvwl.networks import LossChannel, epr_type_ii_network, ghz_network, right_left_groups
-from cvwl.witnesses import vlf
 
 R_VALUES = (0.0, 0.3, 1.0, 2.0)
 
@@ -194,8 +194,8 @@ class TestCounterexample:
         # bound even though the mixture is biseparable by construction
         mixture = build_counterexample(0.5)
         grid = np.arange(0.0, 1.5, 0.005)
-        b1 = min(vlf(mixture, "I", (0, 0, g)).lhs for g in grid)
-        b2 = min(vlf(mixture, "II", (g, 0, 0)).lhs for g in grid)
+        b1 = min(evaluate(mixture, "b1", (0, 0, g)).lhs for g in grid)
+        b2 = min(evaluate(mixture, "b2", (g, 0, 0)).lhs for g in grid)
         assert b1 < 4.0 and b2 < 4.0
 
     @pytest.mark.parametrize("orientation", ["p", "x"])
@@ -205,7 +205,7 @@ class TestCounterexample:
         # either lone-mode orientation (it persists to r* ~ 0.691 for "p")
         mixture = build_counterexample(1.0, orientation)
         grid = np.arange(-2.0, 2.0001, 0.002)
-        best = min(vlf(mixture, "I", (0, 0, g)).lhs for g in grid)
+        best = min(evaluate(mixture, "b1", (0, 0, g)).lhs for g in grid)
         assert best > 4.0
 
     def test_lone_orientation_p_gives_widest_window(self):
@@ -213,7 +213,7 @@ class TestCounterexample:
 
         def best_b1(r, orientation):
             mixture = build_counterexample(r, orientation)
-            return min(vlf(mixture, "I", (0, 0, g)).lhs for g in grid)
+            return min(evaluate(mixture, "b1", (0, 0, g)).lhs for g in grid)
 
         assert best_b1(0.65, "p") < 4.0
         assert best_b1(0.65, "x") > 4.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from cvwl import (
     GainStructure,
@@ -19,7 +20,10 @@ from cvwl import (
     sweep,
     vacuum_state,
 )
-from cvwl.optimizer import default_structure
+import cvwl.optimizer
+from cvwl.optimizer import _objective, default_structure
+from cvwl.witnesses import TABLE, VECTOR
+from conftest import random_state
 
 
 class TestAnalyticGains:
@@ -136,10 +140,53 @@ class TestOptimizeGains:
         with pytest.raises(ValueError):
             optimize_gains(vacuum_state(3), "c5", objective="magic")
 
+    def test_converged_reports_nelder_mead_failure(self, monkeypatch):
+        def fail(fun, x0, **kwargs):
+            return OptimizeResult(x=np.asarray(x0), fun=fun(x0), success=False, nit=7)
+
+        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", fail)
+        result = optimize_gains(build_ghz(3, 1.0), "c5", init=(0.9, -0.45))
+        assert result.converged is False
+        assert result.iterations == 7
+
     def test_fixed_criterion_needs_no_search(self):
         result = optimize_gains(build_epr_type_i(3, 1.0), "c3")
         assert result.params == ()
         assert result.ent_ratio == pytest.approx(2 * math.exp(-2), rel=1e-12)
+
+
+def _objective_cases():
+    """Every criterion with every structure and objective it supports."""
+    for cid, crit in TABLE.items():
+        sizes = (3, 4, 5) if crit.n_modes is None else (crit.n_modes,)
+        for n in sizes:
+            kinds = ("tied", "epr2") if crit.slots is VECTOR else (crit.structure,)
+            objectives = ["entanglement", "lhs"]
+            if crit.steer_bound is not None and n == 3:
+                objectives.append("steering")
+            for kind in kinds:
+                for objective in objectives:
+                    yield cid, n, kind, objective
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize("cid,n,kind,objective", list(_objective_cases()))
+    def test_matches_evaluate_at_random_parameters(self, cid, n, kind, objective, rng):
+        structure = GainStructure(kind, n)
+        builders = ["ghz", "epr1", "epr2"] + (["counterexample"] if n == 3 else [])
+        states = [build_state(b, n, float(rng.uniform(0.1, 1.5))) for b in builders]
+        states += [random_state(n, rng) for _ in range(2)]
+        for state in states:
+            params = rng.uniform(-2, 2, (8, structure.n_params))
+            batch = _objective(state, cid, structure, objective)(params)
+            for p, got in zip(params, batch):
+                report = evaluate(state, cid, structure.expand(p))
+                want = {"entanglement": report.ent_ratio, "steering": report.steer_ratio,
+                        "lhs": report.lhs}[objective]
+                if math.isinf(want):
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestStructures:
@@ -158,6 +205,16 @@ class TestStructures:
     def test_param_count_enforced(self):
         with pytest.raises(ValueError):
             GainStructure("tied", 3).expand((1.0,))
+
+    @pytest.mark.parametrize("cid,kind", [("c1", "tied"), ("c5", "free_g3"), ("c10", "tied_g")])
+    def test_structure_must_fit_the_criterion(self, cid, kind):
+        n = 4 if cid == "c10" else 3
+        with pytest.raises(ValueError, match="does not fit"):
+            optimize_gains(vacuum_state(n), cid, structure=GainStructure(kind, n))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown structure kind"):
+            GainStructure("nope", 3)
 
     def test_default_structures(self):
         assert default_structure("c5", 3).kind == "tied"
@@ -212,13 +269,6 @@ class TestSweep:
             sweep("ghz", 3, "c5", r_values=(1,), eta_values=(0.5,))
         with pytest.raises(ValueError):
             sweep("ghz", 3, "c5", eta_values=(0.5,))
-
-    def test_threads_env_matches_serial(self, monkeypatch):
-        values = (0.2, 0.7, 1.3)
-        serial = sweep("ghz", 3, "c3", r_values=values, optimize=False)
-        monkeypatch.setenv("CVWL_THREADS", "3")
-        parallel = sweep("ghz", 3, "c3", r_values=values, optimize=False)
-        assert [r.ent for r in serial] == [r.ent for r in parallel]
 
 
 class TestBuildState:

@@ -14,7 +14,7 @@ from cvwl import (
     genuine_bound,
     steering_bound,
 )
-from cvwl.partitions import binding_partition
+from cvwl.partitions import BLOCK_SUMS, binding_partition, genuine_bounds
 
 
 def _sets(parts):
@@ -139,6 +139,26 @@ class TestGenuineBound:
         scaled = GainVector(c * h, g / c)
         assert genuine_bound(scaled, 3) == pytest.approx(
             genuine_bound(GainVector(h, g), 3))
+
+    @given(n=st.integers(2, 12), rows=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_bound_matches_enumeration(self, n, rows, seed):
+        local = np.random.default_rng(seed)
+        h, g = local.uniform(-2, 2, (rows, n)), local.uniform(-2, 2, (rows, n))
+        batched = genuine_bounds(h * g)
+        for hi, gi, bound in zip(h, g, batched):
+            gains = GainVector(hi, gi)
+            oracle = min(biseparable_bound(gains, p) for p in enumerate_bipartitions(n))
+            assert bound == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+            assert genuine_bound(gains, n) == bound
+            assert biseparable_bound(gains, binding_partition(gains)) == pytest.approx(
+                oracle, rel=1e-12, abs=1e-15)
+
+    def test_batched_bound_blocks_rows(self, rng):
+        # a block holds BLOCK_SUMS >> 11 rows at N = 12; take two and a bit
+        products = rng.uniform(-2, 2, ((BLOCK_SUMS >> 10) + 3, 12))
+        assert np.array_equal(genuine_bounds(products),
+                              np.array([genuine_bounds(p)[0] for p in products]))
 
     def test_binding_partition_achieves_bound(self, rng):
         gains = GainVector(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))

@@ -62,6 +62,16 @@ class TestSqueezedVacuum:
         with pytest.raises(ValueError):
             SqueezeSpec(-0.1, "x")
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ValueError):
+            SqueezeSpec(r, "x")
+
+    def test_overflowing_r_is_a_physicality_error(self):
+        # exp(2r) is not finite for r = 400; no overflow warning may leak
+        with pytest.raises(PhysicalityError, match="r = 400"):
+            squeezed_vacuum(SqueezeSpec(400.0, "p"))
+
     def test_bad_orientation_rejected(self):
         with pytest.raises(ValueError):
             SqueezeSpec(1.0, "y")
@@ -190,6 +200,13 @@ class TestQuadratureVariances:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             quadrature_variances(vacuum_state(3), GainVector((1, 2), (1, 2)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_gain_vector_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GainVector((1.0, bad), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            GainVector((1.0, 1.0), (bad, 1.0))
 
     def test_gain_vector_validation(self):
         with pytest.raises(ValueError):

@@ -16,25 +16,13 @@ from cvwl import (
     vacuum_state,
 )
 from cvwl.partitions import Bipartition
-from cvwl.witnesses import (
-    WitnessReport,
-    criterion_combined,
-    criterion_four_sum,
-    criterion_general,
-    criterion_npartite,
-    criterion_product_vlf,
-    criterion_simple,
-    criterion_sum_vlf,
-    criterion_two_vlf,
-    vlf,
-    vlf_product,
-)
+from cvwl.witnesses import WitnessReport
 from conftest import random_biseparable_mixture, random_state
 
 
 class TestVlfForms:
     def test_vacuum_sits_at_the_bound(self):
-        report = vlf(vacuum_state(3), "I", (0, 0, 0))
+        report = evaluate(vacuum_state(3), "b1", (0, 0, 0))
         assert report.lhs == pytest.approx(4.0)
         assert report.ent_ratio == pytest.approx(1.0)
         assert not report.verdict_entanglement
@@ -42,67 +30,68 @@ class TestVlfForms:
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     def test_ghz_unit_gains(self, r):
-        report = vlf(build_ghz(3, r), "I", (1, 1, 1))
+        report = evaluate(build_ghz(3, r), "b1", (1, 1, 1))
         assert report.lhs == pytest.approx(5 * math.exp(-2 * r), rel=1e-12)
 
     def test_product_form_vacuum(self):
-        report = vlf_product(vacuum_state(3), "I", (0, 0, 0))
+        report = evaluate(vacuum_state(3), "s1", (0, 0, 0))
         assert report.lhs == pytest.approx(2.0)
         assert report.ent_bound == 2.0 and report.steer_bound == 1.0
 
     def test_ghz_product_value(self):
-        report = vlf_product(build_ghz(3, 1.0), "I", (1, 1, 1))
+        report = evaluate(build_ghz(3, 1.0), "s1", (1, 1, 1))
         assert report.lhs == pytest.approx(math.sqrt(6) * math.exp(-2), rel=1e-12)
 
     def test_product_never_above_half_sum(self, rng):
         for _ in range(200):
             state = random_state(3, rng)
             gains = tuple(rng.uniform(-2, 2, 3))
-            which = rng.choice(["I", "II", "III"])
-            assert vlf_product(state, which, gains).lhs <= \
-                vlf(state, which, gains).lhs / 2 + 1e-12
+            which = rng.choice(["1", "2", "3"])
+            assert evaluate(state, "s" + which, gains).lhs <= \
+                evaluate(state, "b" + which, gains).lhs / 2 + 1e-12
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
-            vlf(vacuum_state(2), "I", (0, 0, 0))
+            evaluate(vacuum_state(2), "b1", (0, 0, 0))
         with pytest.raises(ValueError):
-            vlf(vacuum_state(3), "IV", (0, 0, 0))
+            evaluate(vacuum_state(3), "b4", (0, 0, 0))
 
 
 class TestSummedCriteria:
     def test_c1_vacuum(self):
-        report = criterion_sum_vlf(vacuum_state(3), (0, 0, 0))
+        report = evaluate(vacuum_state(3), "c1", (0, 0, 0))
         assert report.lhs == pytest.approx(12.0)
         assert report.ent_ratio == pytest.approx(1.5)
         assert report.steer_bound == 4.0
 
     @pytest.mark.parametrize("r", [0.2, 0.6, 1.2])
     def test_c1_ghz_symmetric(self, r):
-        report = criterion_sum_vlf(build_ghz(3, r), (1, 1, 1))
+        report = evaluate(build_ghz(3, r), "c1", (1, 1, 1))
         assert report.lhs == pytest.approx(15 * math.exp(-2 * r), rel=1e-12)
         assert report.verdict_entanglement == (math.exp(-2 * r) < 8 / 15)
 
     def test_c2_vacuum(self):
-        report = criterion_product_vlf(vacuum_state(3), (0, 0, 0))
+        report = evaluate(vacuum_state(3), "c2", (0, 0, 0))
         assert report.lhs == pytest.approx(6.0)
         assert report.ent_bound == 4.0 and report.steer_bound == 2.0
 
     @pytest.mark.parametrize("r", [0.2, 0.6, 1.2])
     def test_c2_ghz_symmetric(self, r):
-        report = criterion_product_vlf(build_ghz(3, r), (1, 1, 1))
+        report = evaluate(build_ghz(3, r), "c2", (1, 1, 1))
         assert report.lhs == pytest.approx(3 * math.sqrt(6) * math.exp(-2 * r), rel=1e-12)
 
     def test_product_ratio_never_above_sum_ratio(self, rng):
         for _ in range(200):
             state = random_state(3, rng)
             gains = tuple(rng.uniform(-2, 2, 3))
-            assert criterion_product_vlf(state, gains).ent_ratio <= \
-                criterion_sum_vlf(state, gains).ent_ratio + 1e-12
+            assert evaluate(state, "c2", gains).ent_ratio <= \
+                evaluate(state, "c1", gains).ent_ratio + 1e-12
 
 
 class TestSimpleCriterion:
     def test_vacuum(self):
-        sum_report, prod_report = criterion_simple(vacuum_state(3))
+        sum_report = evaluate(vacuum_state(3), "c3")
+        prod_report = evaluate(vacuum_state(3), "c4")
         assert sum_report.lhs == pytest.approx(4.0)
         assert sum_report.ent_ratio == pytest.approx(2.0)
         assert prod_report.lhs == pytest.approx(2.0)
@@ -110,22 +99,23 @@ class TestSimpleCriterion:
 
     @pytest.mark.parametrize("r", [0.3, 0.694, 1.5])
     def test_epr_closed_form_and_steering_onset(self, r):
-        sum_report, _ = criterion_simple(build_epr_type_i(3, r))
+        sum_report = evaluate(build_epr_type_i(3, r), "c3")
         assert sum_report.lhs == pytest.approx(4 * math.exp(-2 * r), rel=1e-12)
         assert sum_report.ent_ratio == pytest.approx(2 * math.exp(-2 * r), rel=1e-12)
         assert sum_report.verdict_steering == (r > math.log(2))
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     def test_ghz_sits_above_epr(self, r):
-        ghz_report, _ = criterion_simple(build_ghz(3, r))
-        epr_report, _ = criterion_simple(build_epr_type_i(3, r))
+        ghz_report = evaluate(build_ghz(3, r), "c3")
+        epr_report = evaluate(build_epr_type_i(3, r), "c3")
         assert ghz_report.ent_ratio > epr_report.ent_ratio
 
 
 class TestGeneralCriterion:
     def test_ghz_printed_gains(self):
         gains = GainVector((1, -0.49, -0.49), (1, 0.95, 0.95))
-        sum_report, prod_report = criterion_general(build_ghz(3, 1.0), gains)
+        sum_report = evaluate(build_ghz(3, 1.0), "c5", gains)
+        prod_report = evaluate(build_ghz(3, 1.0), "c6", gains)
         assert sum_report.ent_bound == pytest.approx(2.0)
         assert sum_report.verdict_entanglement
         assert prod_report.verdict_entanglement
@@ -133,7 +123,7 @@ class TestGeneralCriterion:
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.5])
     def test_ghz_half_gain_closed_form(self, r):
         gains = GainVector((1, -0.5, -0.5), (1, 1, 1))
-        sum_report, _ = criterion_general(build_ghz(3, r), gains)
+        sum_report = evaluate(build_ghz(3, r), "c5", gains)
         assert sum_report.lhs == pytest.approx(4.5 * math.exp(-2 * r), rel=1e-12)
         assert sum_report.ent_bound == pytest.approx(2.0)
         assert sum_report.ent_ratio == pytest.approx(2.25 * math.exp(-2 * r), rel=1e-12)
@@ -143,8 +133,8 @@ class TestGeneralCriterion:
         # 1/sqrt(2) combination
         state = build_epr_type_i(3, 2.0)
         gains = GainVector((1, -0.70, -0.70), (1, 0.70, 0.70))
-        sum_report, _ = criterion_general(state, gains)
-        simple_report, _ = criterion_simple(state)
+        sum_report = evaluate(state, "c5", gains)
+        simple_report = evaluate(state, "c3")
         assert sum_report.ent_ratio == pytest.approx(simple_report.ent_ratio, abs=1e-2)
 
     def test_epr_family_sum_and_product_agree(self):
@@ -153,52 +143,54 @@ class TestGeneralCriterion:
         for r in (0.3, 1.0, 2.0):
             scale = math.tanh(2 * r) / math.sqrt(2)
             gains = GainVector((1, -scale, -scale), (1, scale, scale))
-            sum_report, prod_report = criterion_general(build_epr_type_i(3, r), gains)
+            sum_report = evaluate(build_epr_type_i(3, r), "c5", gains)
+            prod_report = evaluate(build_epr_type_i(3, r), "c6", gains)
             assert prod_report.ent_ratio == pytest.approx(sum_report.ent_ratio, abs=1e-12)
 
     def test_ghz_sum_and_product_differ(self):
         # the GHZ combination variances are unequal (1.5 vs 3 exp(-2r) at
         # the stationary gains), so the product form is strictly tighter
         gains = GainVector((1, -0.4864, -0.4864), (1, 0.947, 0.947))
-        sum_report, prod_report = criterion_general(build_ghz(3, 1.0), gains)
+        sum_report = evaluate(build_ghz(3, 1.0), "c5", gains)
+        prod_report = evaluate(build_ghz(3, 1.0), "c6", gains)
         assert prod_report.ent_ratio < sum_report.ent_ratio - 1e-3
 
 
 class TestTwoVlfCriterion:
     def test_vacuum(self):
-        report = criterion_two_vlf(vacuum_state(3))
+        report = evaluate(vacuum_state(3), "c7")
         assert report.lhs == pytest.approx(10.0)
         assert report.ent_ratio == pytest.approx(2.5)
 
     @pytest.mark.parametrize("r", [0.2, 0.6, 1.5])
     def test_ghz_pairs(self, r):
-        report = criterion_two_vlf(build_ghz(3, r))
+        report = evaluate(build_ghz(3, r), "c7")
         assert report.lhs == pytest.approx(10 * math.exp(-2 * r), rel=1e-12)
         assert report.verdict_entanglement == (r > math.log(2.5) / 2)
 
     def test_epr_never_violates(self):
         for r in np.linspace(0.0, 3.0, 31):
-            assert criterion_two_vlf(build_epr_type_i(3, r)).lhs > 4.0
+            assert evaluate(build_epr_type_i(3, r), "c7").lhs > 4.0
 
 
 class TestNPartiteCriterion:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("r", [0.4, 1.0])
     def test_epr_equal_split(self, n, r):
-        report = criterion_npartite(build_epr_type_i(n, r), equal_split_gains(n))
+        report = evaluate(build_epr_type_i(n, r), "c8", equal_split_gains(n))
         assert report.lhs == pytest.approx(4 * math.exp(-2 * r), rel=1e-12)
         assert report.ent_bound == pytest.approx(4 / (n - 1))
         assert report.ent_ratio == pytest.approx((n - 1) * math.exp(-2 * r), rel=1e-12)
 
     def test_ghz4_printed_gains(self):
         gains = GainVector((1, -0.33, -0.33, -0.33), (1, 1, 1, 1))
-        report = criterion_npartite(build_ghz(4, 2.0), gains)
+        report = evaluate(build_ghz(4, 2.0), "c8", gains)
         assert report.verdict_entanglement
 
     def test_reduces_to_simple_criterion_at_three_modes(self):
         state = build_epr_type_i(3, 0.9)
-        npartite = criterion_npartite(state, equal_split_gains(3))
-        simple, _ = criterion_simple(state)
+        npartite = evaluate(state, "c8", equal_split_gains(3))
+        simple = evaluate(state, "c3")
         assert npartite.lhs == simple.lhs
         assert npartite.ent_bound == simple.ent_bound
         assert npartite.steer_bound == pytest.approx(simple.steer_bound, abs=1e-15)
@@ -212,7 +204,7 @@ class TestNPartiteCriterion:
         for part in (Bipartition(frozenset({0, 1}), frozenset({2, 3})),
                      Bipartition(frozenset({0, 2}), frozenset({1, 3}))):
             assert biseparable_bound(gains, part) == pytest.approx(0.0)
-        report = criterion_npartite(build_epr_type_ii(4, 2.0), gains)
+        report = evaluate(build_epr_type_ii(4, 2.0), "c8", gains)
         assert report.ent_bound == 0.0
         assert report.ent_ratio == math.inf
         assert not report.verdict_entanglement
@@ -220,13 +212,13 @@ class TestNPartiteCriterion:
 
 class TestFourModeCriteria:
     def test_c9_vacuum(self):
-        report = criterion_four_sum(vacuum_state(4), (0, 0, 0, 0))
+        report = evaluate(vacuum_state(4), "c9", (0, 0, 0, 0))
         assert all(v == pytest.approx(4.0) for v in report.details.values())
         assert report.ent_ratio == pytest.approx(2.0)
 
     @pytest.mark.parametrize("r", [0.4, 0.8, 1.5])
     def test_c9_ghz_symmetric(self, r):
-        report = criterion_four_sum(build_ghz(4, r), (1, 1, 1, 1))
+        report = evaluate(build_ghz(4, r), "c9", (1, 1, 1, 1))
         values = list(report.details.values())
         assert all(v == pytest.approx(values[0], rel=1e-10) for v in values)
         assert report.lhs == pytest.approx(36 * math.exp(-2 * r), rel=1e-12)
@@ -235,30 +227,30 @@ class TestFourModeCriteria:
     def test_c9_epr_states_not_detected(self):
         for r in np.linspace(0, 2, 9):
             for builder in (build_epr_type_i, build_epr_type_ii):
-                report = criterion_four_sum(builder(4, r), (1, 1, 1, 1))
+                report = evaluate(builder(4, r), "c9", (1, 1, 1, 1))
                 assert report.ent_ratio >= 1 - 1e-12
 
     def test_c10_vacuum(self):
-        report = criterion_combined(vacuum_state(4))
+        report = evaluate(vacuum_state(4), "c10")
         assert report.details["I"] == pytest.approx(8.0)
         assert report.details["B_II"] == pytest.approx(4.0)
         assert report.ent_ratio == pytest.approx(3.0)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_c10_epr2_closed_form(self, r):
-        report = criterion_combined(build_epr_type_ii(4, r), 1.0, -1.0)
+        report = evaluate(build_epr_type_ii(4, r), "c10", (1.0, -1.0))
         assert report.details["I"] == pytest.approx(8 * math.exp(-2 * r), rel=1e-12)
         assert report.details["B_II"] == pytest.approx(2 + 4 * math.exp(-2 * r), rel=1e-12)
         assert report.verdict_entanglement == (r > math.log(6) / 2)
 
     def test_c10_ghz_reports_value(self):
-        assert criterion_combined(build_ghz(4, 1.0), 1.0, -1.0).lhs > 0
+        assert evaluate(build_ghz(4, 1.0), "c10", (1.0, -1.0)).lhs > 0
 
     def test_four_mode_criteria_need_four_modes(self):
         with pytest.raises(ValueError):
-            criterion_four_sum(vacuum_state(3))
+            evaluate(vacuum_state(3), "c9")
         with pytest.raises(ValueError):
-            criterion_combined(vacuum_state(3))
+            evaluate(vacuum_state(3), "c10")
 
 
 class TestReportInvariants:
@@ -301,9 +293,9 @@ class TestReportInvariants:
         for _ in range(50):
             mixture = random_biseparable_mixture(3, rng)
             gains = tuple(rng.uniform(-1, 1, 3))
-            total = criterion_sum_vlf(mixture, gains).lhs
+            total = evaluate(mixture, "c1", gains).lhs
             weighted = sum(
-                w * criterion_sum_vlf(s, gains).lhs for w, s in mixture.components)
+                w * evaluate(s, "c1", gains).lhs for w, s in mixture.components)
             assert total == pytest.approx(weighted, rel=1e-10)
 
 
@@ -321,11 +313,11 @@ class TestSoundnessSample:
     def test_counterexample_full_inseparability_without_genuine_flag(self):
         mixture = build_counterexample(0.5)
         grid = np.arange(0.2, 1.2, 0.005)
-        best = min(grid, key=lambda g: vlf(mixture, "I", (g, 0, g)).lhs
-                   + vlf(mixture, "II", (g, 0, g)).lhs)
-        assert vlf(mixture, "I", (best, 0, best)).lhs < 4
-        assert vlf(mixture, "II", (best, 0, best)).lhs < 4
-        assert criterion_sum_vlf(mixture, (best, 0, best)).ent_ratio >= 1 - 1e-9
+        best = min(grid, key=lambda g: evaluate(mixture, "b1", (g, 0, g)).lhs
+                   + evaluate(mixture, "b2", (g, 0, g)).lhs)
+        assert evaluate(mixture, "b1", (best, 0, best)).lhs < 4
+        assert evaluate(mixture, "b2", (best, 0, best)).lhs < 4
+        assert evaluate(mixture, "c1", (best, 0, best)).ent_ratio >= 1 - 1e-9
 
 
 class TestDispatcher:
