@@ -71,17 +71,16 @@ def analytic_gains_epr1(n: int, r: float):
     return scale, -scale + 0.0
 
 
-# structure kind -> its parameter names
+# structure kind -> its parameter names, and the parameter each scalar gain
+# copies (None for the kinds whose gain rows are (h, g))
 KINDS = {
-    "tied": ("g", "h"),
-    "free_g3": ("g1", "g2", "g3"),
-    "tied_g": ("g",),
-    "free_g14": ("g1", "g4"),
-    "epr2": ("h_R", "h_L", "g_R"),
-    "fixed": (),
+    "tied": (("g", "h"), None),
+    "free_g3": (("g1", "g2", "g3"), (0, 1, 2)),
+    "tied_g": (("g",), (0, 0, 0, 0)),
+    "free_g14": (("g1", "g4"), (0, 1)),
+    "epr2": (("h_R", "h_L", "g_R"), None),
+    "fixed": ((), ()),
 }
-# the parameter each scalar gain copies, for the kinds without (h, g) rows
-_SCALAR_SOURCES = {"free_g3": (0, 1, 2), "tied_g": (0, 0, 0, 0), "free_g14": (0, 1), "fixed": ()}
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class GainStructure:
 
     @property
     def param_names(self):
-        return KINDS[self.kind]
+        return KINDS[self.kind][0]
 
     @property
     def n_params(self) -> int:
@@ -121,8 +120,8 @@ class GainStructure:
     def _sources(self):
         """The parameter index each gain-row entry copies (-1 for a 1), and
         the positions of the 1s."""
-        if self.kind in _SCALAR_SOURCES:
-            sources = np.array(_SCALAR_SOURCES[self.kind], dtype=int)
+        if KINDS[self.kind][1] is not None:
+            sources = np.array(KINDS[self.kind][1], dtype=int)
         else:
             n = self.n_modes
             h, g = np.full(n, -1), np.full(n, -1)
@@ -151,7 +150,7 @@ class GainStructure:
                 f"got {len(params)}"
             )
         row = self.rows([params])[0]
-        if self.kind in ("tied", "epr2"):
+        if KINDS[self.kind][1] is None:
             return GainVector(row[:self.n_modes], row[self.n_modes:])
         return tuple(float(v) for v in row) if self.n_params else None
 

@@ -90,8 +90,9 @@ def biseparable_bound(gains: GainVector, partition: Bipartition) -> float:
 
 
 def _split_bounds(products: np.ndarray) -> np.ndarray:
-    """:func:`biseparable_bound` of every canonical bipartition (rows, in
-    enumeration order) for each row of a (B, N) products array (columns).
+    """:func:`biseparable_bound` of every canonical bipartition, in
+    enumeration order, for each row of a (B, N) products array; the result
+    is (2^(N-1) - 1, B).
 
     Side A holds mode 0, so its sums start from p_0 and side B's from 0;
     both add modes in increasing order, as a direct sum over the side
