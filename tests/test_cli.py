@@ -1,4 +1,7 @@
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,9 +211,42 @@ class TestExitCodes:
                      "--criterion", "c3"]) == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loss", [("1", "abc"), ("1.5", "0.5"), ("9", "0.5")])
+    def test_bad_loss_flag(self, loss, capsys):
+        assert main(["build", "--state", "vacuum", "--n", "3", "--loss", *loss]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    def test_bad_loss_modes(self, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c5",
+                     "--param", "eta", "--values", "0.5", "--loss-modes", "2,x"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    def test_eta_sweep_needs_loss_modes(self, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c5",
+                     "--param", "eta", "--values", "0.5"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
     def test_missing_values_for_sweep(self):
         assert main(["sweep", "--state", "ghz", "--n", "3", "--criterion", "c5",
                      "--values", ""]) == EXIT_CONFIG
 
     def test_unparsable_arguments(self, capsys):
         assert main(["witness", "--state", "nosuch", "--criterion", "c3"]) == EXIT_CONFIG
+
+
+def test_readme_cli_block_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(commands) >= 5
+    for k, argv in enumerate(commands):
+        assert argv[0] == "cvwl"
+        argv = argv[1:]
+        out = str(tmp_path / f"out{k}.csv")
+        if "-o" in argv:
+            argv[argv.index("-o") + 1] = out
+        else:
+            argv += ["-o", out]
+        assert main(argv) == EXIT_OK, argv
+        assert Path(out).read_text().count("\n") >= 2, argv
