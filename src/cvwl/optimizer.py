@@ -46,16 +46,14 @@ def analytic_gains_ghz(n: int, r: float):
 
     With input variances vx1 = exp(2r), vx2 = exp(-2r) (and the p variances
     swapped), h = -(vx1 - vx2) / (vx2 + (N-1) vx1) and g likewise from the
-    p variances; at large r these approach g = 1, h = -1/(N-1).
+    p variances; at large r these approach g = 1, h = -1/(N-1).  Both are
+    computed divided through by exp(2r), in powers of exp(-4r) <= 1, so
+    that no large r overflows.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 modes, got {n}")
-    if r < 0:
-        raise ValueError(f"squeeze parameter must be nonnegative, got {r}")
-    vx1, vx2 = math.exp(2.0 * r), math.exp(-2.0 * r)
-    vp1, vp2 = vx2, vx1
-    h = -(vx1 - vx2) / (vx2 + (n - 1) * vx1) + 0.0
-    g = -(vp1 - vp2) / (vp2 + (n - 1) * vp1) + 0.0
+    _check_gain_args(n, r)
+    t = math.exp(-4.0 * r)
+    h = -(1.0 - t) / (t + n - 1) + 0.0
+    g = (1.0 - t) / (1.0 + (n - 1) * t)
     return g, h
 
 
@@ -63,12 +61,16 @@ def analytic_gains_epr1(n: int, r: float):
     """Stationary gains (g, h) for the asymmetric EPR-type state:
     h = -(vx1 - vx2) / (sqrt(N-1) (vx2 + vx1)) = -tanh(2r)/sqrt(N-1),
     g = +tanh(2r)/sqrt(N-1); at large r these approach +-1/sqrt(N-1)."""
-    if n < 2:
-        raise ValueError(f"need at least 2 modes, got {n}")
-    if r < 0:
-        raise ValueError(f"squeeze parameter must be nonnegative, got {r}")
+    _check_gain_args(n, r)
     scale = math.tanh(2.0 * r) / math.sqrt(n - 1)
     return scale, -scale + 0.0
+
+
+def _check_gain_args(n: int, r: float):
+    if n < 2:
+        raise ValueError(f"need at least 2 modes, got {n}")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"squeeze parameter must be finite and nonnegative, got {r}")
 
 
 # structure kind -> its parameter names, and the parameter each scalar gain

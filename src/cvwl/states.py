@@ -129,16 +129,6 @@ class GaussianState:
         """The full (read-only) 2N x 2N covariance matrix."""
         return self._cov
 
-    @property
-    def cov_xx(self) -> np.ndarray:
-        n = self.n_modes
-        return self._cov[:n, :n]
-
-    @property
-    def cov_pp(self) -> np.ndarray:
-        n = self.n_modes
-        return self._cov[n:, n:]
-
     def __repr__(self):
         return f"GaussianState(n_modes={self.n_modes})"
 

@@ -48,6 +48,18 @@ class TestAnalyticGains:
         assert g == pytest.approx(math.tanh(2) / math.sqrt(2), rel=1e-12)
         assert h == -g
 
+    @pytest.mark.parametrize("analytic", [analytic_gains_ghz, analytic_gains_epr1])
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
+    def test_non_finite_or_negative_r_rejected(self, analytic, r):
+        with pytest.raises(ValueError, match="squeeze parameter"):
+            analytic(3, r)
+
+    def test_huge_r_reaches_the_limits_without_overflow(self):
+        assert analytic_gains_ghz(3, 1e3) == (1.0, -0.5)
+        g, h = analytic_gains_epr1(3, 1e3)
+        assert g == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert h == -g
+
     @pytest.mark.parametrize("builder,analytic", [
         (build_ghz, analytic_gains_ghz), (build_epr_type_i, analytic_gains_epr1)])
     @pytest.mark.parametrize("n,r", [(3, 0.5), (4, 1.0), (5, 2.0)])
