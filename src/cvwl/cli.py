@@ -1,6 +1,15 @@
 """Batch front end: build states, evaluate witnesses, optimize gains, run
 sweeps, and emit the canned reference grids — all as CSV on stdout or a file.
 
+Each command reads argparse's namespace directly; flag values are converted
+by the parser's `type=` functions, except the `--loss MODE ETA` pairs, which
+`_load_state` converts where it applies them.  `build`, `witness` and
+`optimize` take a state from `--state` or `--network`; `sweep` rebuilds a
+`--state` preset at each grid point.  The reproduce targets (the paper's
+Tables I-IV and Figs. 4, 5, 10-12) are rows of `REPRODUCE`: each target is a
+list of column groups, and one driver evaluates every group at each r of
+`R_GRID`, building each (preset, modes) state once per r.
+
 Exit codes: 0 success, 2 configuration/parse error, 3 numerical failure
 (non-physical state).  Mode indices are 1-based on the command line and in
 network files.
@@ -25,7 +34,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,41 +179,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: one state source, optional loss, criterion, gains."""
-
-    command: str
-    state: Optional[str] = None
-    n: int = 3
-    r: float = 0.0
-    network: Optional[str] = None
-    criterion: Optional[str] = None
-    gains: Optional[str] = None
-    structure: Optional[str] = None
-    objective: str = "entanglement"
-    loss: tuple = ()
-    param: Optional[str] = None
-    values: Optional[str] = None
-    loss_modes: tuple = ()
-    no_optimize: bool = False
-    target: Optional[str] = None
-    output: Optional[str] = None
-
-
-def _load_state(cfg: RunConfig):
-    if (cfg.network is None) == (cfg.state is None):
+def _load_state(args):
+    """The state named by --state or --network, after the --loss channels."""
+    if (args.network is None) == (args.state is None):
         raise ConfigError("provide exactly one state source: --state or --network")
-    if cfg.network is not None:
+    if args.network is not None:
         try:
-            with open(cfg.network) as fh:
+            with open(args.network) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read network file: {exc}") from exc
         state = execute(parse_network(text))
     else:
-        state = build_state(cfg.state, cfg.n, cfg.r)
-    for mode, eta in cfg.loss:
+        state = build_state(args.state, args.n, args.r)
+    for mode, eta in args.loss:
+        try:
+            mode, eta = int(mode), float(eta)
+        except ValueError as exc:
+            raise ConfigError(f"bad --loss {mode} {eta}: {exc}") from exc
         if isinstance(state, MixedState):
             raise ConfigError("loss channels on mixtures are not supported from the CLI")
         if not 1 <= mode <= state.n_modes:
@@ -221,30 +212,28 @@ def _parse_gain_list(text: str):
         raise ConfigError(f"bad gains list {text!r}: {exc}") from exc
 
 
-def _gains_for(cfg: RunConfig, state):
-    """Resolve --gains: None/empty -> criterion default, 'auto' -> optimize,
-    otherwise an explicit list (criterion-specific; for c5/c6/c8 either a
-    tied pair 'g,h' or the full 2N values h_1..h_N,g_1..g_N)."""
-    cid = cfg.criterion
-    if cfg.gains is None or cfg.gains == "":
-        return None, None
-    if cfg.gains.strip().lower() == "auto":
-        structure = None
-        if cfg.structure:
-            structure = GainStructure(cfg.structure, state.n_modes)
-        result = optimize_gains(state, cid, structure=structure, objective=cfg.objective)
-        return result.gains, result
-    values = _parse_gain_list(cfg.gains)
-    if witnesses.lookup(cid).slots is witnesses.VECTOR:
-        n = state.n_modes
+def _gains_for(args, n: int):
+    """The fixed gains an explicit --gains list gives on `n` modes; None when
+    --gains is absent or 'auto'.  The list is criterion-specific; for
+    c5/c6/c8 it is either a tied pair 'g,h' or the full 2N values
+    h_1..h_N,g_1..g_N.  Criteria without gain slots (c3, c4, c7) take none."""
+    if not args.gains:
+        return None
+    cid = args.criterion
+    slots = witnesses.lookup(cid).slots
+    if slots == ():
+        raise ConfigError(f"{cid} takes no gains; drop --gains")
+    if args.gains.strip().lower() == "auto":
+        return None
+    values = _parse_gain_list(args.gains)
+    if slots is witnesses.VECTOR:
         if len(values) == 2:
-            structure = GainStructure("tied", n)
-            return structure.expand(values), None
+            return GainStructure("tied", n).expand(values)
         if len(values) == 2 * n:
-            return GainVector(values[:n], values[n:]), None
+            return GainVector(values[:n], values[n:])
         raise ConfigError(
             f"{cid} takes 2 tied gains (g,h) or {2 * n} values h_1..h_{n},g_1..g_{n}")
-    return values, None
+    return values
 
 
 def _gain_cells(criterion, gains, n):
@@ -283,238 +272,171 @@ def _report_row(param, criterion, gains, report, n):
     return header, row
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    state = _load_state(cfg)
+def cmd_build(args) -> int:
+    state = _load_state(args)
     moments = second_moments(state)
     n = state.n_modes
     header = [""] + [f"x{k + 1}" for k in range(n)] + [f"p{k + 1}" for k in range(n)]
     labels = header[1:]
     rows = [[labels[i]] + [moments[i, j] for j in range(2 * n)] for i in range(2 * n)]
-    _write_rows(header, rows, cfg.output)
+    _write_rows(header, rows, args.output)
     return EXIT_OK
 
 
-def cmd_witness(cfg: RunConfig) -> int:
-    if not cfg.criterion:
-        raise ConfigError("witness needs --criterion")
-    state = _load_state(cfg)
-    gains, _ = _gains_for(cfg, state)
-    report = witnesses.evaluate(state, cfg.criterion, gains)
-    header, row = _report_row(cfg.r, cfg.criterion, gains, report, state.n_modes)
-    _write_rows(("criterion",) + header, [(report.criterion_id,) + row], cfg.output)
+def cmd_witness(args) -> int:
+    state = _load_state(args)
+    gains = _gains_for(args, state.n_modes)
+    if args.gains and gains is None:  # --gains auto
+        structure = default_structure(args.criterion, state.n_modes, args.structure)
+        gains = optimize_gains(state, args.criterion, structure=structure,
+                               objective=args.objective).gains
+    report = witnesses.evaluate(state, args.criterion, gains)
+    header, row = _report_row(args.r, args.criterion, gains, report, state.n_modes)
+    _write_rows(("criterion",) + header, [(report.criterion_id,) + row], args.output)
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    if not cfg.criterion:
-        raise ConfigError("optimize needs --criterion")
-    state = _load_state(cfg)
-    structure = GainStructure(cfg.structure, state.n_modes) if cfg.structure else None
-    init = _parse_gain_list(cfg.gains) if cfg.gains and cfg.gains.lower() != "auto" else None
-    result = optimize_gains(state, cfg.criterion, structure=structure, init=init,
-                            objective=cfg.objective)
-    structure = structure or default_structure(cfg.criterion, state.n_modes)
+def cmd_optimize(args) -> int:
+    state = _load_state(args)
+    structure = default_structure(args.criterion, state.n_modes, args.structure)
+    init = _parse_gain_list(args.gains) if args.gains and args.gains.lower() != "auto" else None
+    result = optimize_gains(state, args.criterion, structure=structure, init=init,
+                            objective=args.objective)
     header = ("criterion", "objective") + structure.param_names + (
         "ratio", "ent", "iterations", "converged")
     row = (result.criterion_id, result.objective) + result.params + (
         result.ratio, result.ent_ratio, result.iterations, result.converged)
-    _write_rows(header, [row], cfg.output)
+    _write_rows(header, [row], args.output)
     return EXIT_OK
 
 
 def _parse_values(text: str):
+    """--values: a comma list, or lo:hi:step with both ends included."""
     if ":" in text:
         fields = text.split(":")
         if len(fields) != 3:
-            raise ConfigError(f"range must be lo:hi:step, got {text!r}")
+            raise argparse.ArgumentTypeError(f"range must be lo:hi:step, got {text!r}")
         try:
             lo, hi, step = (float(v) for v in fields)
         except ValueError as exc:
-            raise ConfigError(f"bad range {text!r}: {exc}") from exc
+            raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from exc
         if step <= 0 or hi < lo:
-            raise ConfigError(f"range must have hi >= lo and step > 0, got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"range must have hi >= lo and step > 0, got {text!r}")
         return tuple(np.arange(lo, hi + step / 2.0, step))
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad values list {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad values list {text!r}: {exc}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if not cfg.criterion:
-        raise ConfigError("sweep needs --criterion")
-    if cfg.state is None:
-        raise ConfigError("sweep needs a --state preset")
-    if not cfg.values:
-        raise ConfigError("sweep needs --values")
-    values = _parse_values(cfg.values)
-    param = cfg.param or "r"
-    if param not in ("r", "eta"):
-        raise ConfigError(f"--param must be r or eta, got {param!r}")
-    structure = GainStructure(cfg.structure, cfg.n) if cfg.structure else None
-    fixed_gains = None
-    optimize = not cfg.no_optimize
-    if cfg.gains and cfg.gains.lower() != "auto":
-        optimize = False
-        probe = build_state(cfg.state, cfg.n, cfg.r)
-        fixed_gains, _ = _gains_for(cfg, probe)
+def _parse_modes(text: str):
+    """--loss-modes: a comma list of 1-based mode indices."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad mode list {text!r}: {exc}") from exc
+
+
+def cmd_sweep(args) -> int:
+    gains = _gains_for(args, args.n)
     kwargs = dict(
-        criterion=cfg.criterion, optimize=optimize, gains=fixed_gains,
-        structure=structure, objective=cfg.objective,
+        criterion=args.criterion, optimize=gains is None and not args.no_optimize,
+        gains=gains, structure=default_structure(args.criterion, args.n, args.structure),
+        objective=args.objective,
     )
-    if param == "r":
-        rows = sweep(cfg.state, cfg.n, r_values=values, **kwargs)
+    if args.param == "r":
+        rows = sweep(args.state, args.n, r_values=args.values, **kwargs)
     else:
-        if not cfg.loss_modes:
-            raise ConfigError("eta sweeps need --loss-modes")
-        rows = sweep(cfg.state, cfg.n, eta_values=values, r=cfg.r,
-                     loss_modes=tuple(m - 1 for m in cfg.loss_modes), **kwargs)
-    header = None
-    out = []
-    for row in rows:
-        hdr, cells = _report_row(row.param, cfg.criterion, row.gains, row.report, cfg.n)
-        header = hdr
-        out.append(cells)
-    _write_rows(header, out, cfg.output)
+        rows = sweep(args.state, args.n, eta_values=args.values, r=args.r,
+                     loss_modes=tuple(m - 1 for m in args.loss_modes), **kwargs)
+    out = [_report_row(row.param, args.criterion, row.gains, row.report, args.n)
+           for row in rows]
+    _write_rows(out[0][0], [cells for _, cells in out], args.output)
     return EXIT_OK
 
 
-def _reproduce_table1():
-    rows = []
-    for r in R_GRID:
-        cells = {"r": r}
-        for name, builder in (("ghz", "ghz"), ("epr", "epr1")):
-            state = build_state(builder, 3, r)
-            res = optimize_gains(state, "c5")
-            cells[f"{name}_g"], cells[f"{name}_h"] = res.params
-            cells[f"{name}_ent"] = res.ent_ratio
-        rows.append(cells)
-    header = ("target", "r", "ghz_g", "ghz_h", "ghz_ent", "epr_g", "epr_h", "epr_ent")
-    return header, [("table1", c["r"], c["ghz_g"], c["ghz_h"], c["ghz_ent"],
-                     c["epr_g"], c["epr_h"], c["epr_ent"]) for c in rows]
+# Cell makers of the reproduce table: each returns `cells(state, r)`, the
+# values of one column group.  They look up optimize_gains, build_state and
+# witnesses.evaluate when they run, so that wrappers installed on those
+# module attributes after import (bench/tracer.py) see every call.
+
+def _search(criterion, params=False, structure=None, objective="entanglement"):
+    """A cold gain search: its parameters (with `params`) and ent ratio."""
+    def cells(state, r):
+        result = optimize_gains(state, criterion, objective=objective,
+                                structure=default_structure(criterion, state.n_modes, structure))
+        return (result.params if params else ()) + (result.ent_ratio,)
+    return cells
 
 
-def _reproduce_table2():
-    header = ("target", "r", "ghz_g1", "ghz_g2", "ghz_g3", "ghz_ent",
-              "epr_g1", "epr_g2", "epr_g3", "epr_ent")
-    out = []
-    for r in R_GRID:
-        row = ["table2", r]
-        for builder in ("ghz", "epr1"):
-            res = optimize_gains(build_state(builder, 3, r), "c1")
-            row.extend(res.params)
-            row.append(res.ent_ratio)
-        out.append(tuple(row))
-    return header, out
+def _fixed(criterion, gains=lambda n: None):
+    """The ent ratio at fixed gains, given as a function of the mode count."""
+    return lambda state, r: (witnesses.evaluate(state, criterion, gains(state.n_modes)).ent_ratio,)
 
 
-def _reproduce_table_c8(target: str):
-    analytic = optimizer.analytic_gains_epr1 if target == "table3" else optimizer.analytic_gains_ghz
-    builder = "epr1" if target == "table3" else "ghz"
-    header = ("target", "r") + tuple(
-        f"n{n}_{c}" for n in (4, 5, 6) for c in ("g", "h", "ent"))
-    out = []
-    for r in R_GRID:
-        row = [target, r]
-        for n in (4, 5, 6):
-            g, h = analytic(n, r)
-            gains = GainStructure("tied", n).expand((g, h))
-            report = witnesses.evaluate(build_state(builder, n, r), "c8", gains)
-            row.extend((g, h, report.ent_ratio))
-        out.append(tuple(row))
-    return header, out
+def _stationary(analytic, gains=False):
+    """c8 at the closed-form stationary gains analytic(n, r) of the tied
+    structure: (g, h) (with `gains`) and the ent ratio."""
+    def cells(state, r):
+        g, h = analytic(state.n_modes, r)
+        tied = GainStructure("tied", state.n_modes).expand((g, h))
+        return ((g, h) if gains else ()) + (witnesses.evaluate(state, "c8", tied).ent_ratio,)
+    return cells
 
 
-def _reproduce_fig4():
-    header = ("target", "r", "ghz_simple", "epr_simple", "ghz_gen", "epr_gen",
-              "ghz_gen_prod", "epr_gen_prod")
-    out = []
-    for r in R_GRID:
-        row = ["fig4", r]
-        states = {"ghz": build_state("ghz", 3, r), "epr": build_state("epr1", 3, r)}
-        for state in states.values():
-            row.append(witnesses.evaluate(state, "c3").ent_ratio)
-        for state in states.values():
-            row.append(optimize_gains(state, "c5").ent_ratio)
-        for state in states.values():
-            row.append(optimize_gains(state, "c6").ent_ratio)
-        out.append(tuple(row))
-    return header, out
+def _ghz_epr(suffixes, cells):
+    """Column groups ghz_* and epr_* of the same cells on the three-mode GHZ
+    and EPR-type (epr1) states."""
+    return tuple((tuple(f"{prefix}_{s}" for s in suffixes), preset, 3, cells)
+                 for prefix, preset in (("ghz", "ghz"), ("epr", "epr1")))
 
 
-def _reproduce_fig5():
-    header = ("target", "r", "ghz_c1", "epr_c1", "ghz_c2", "epr_c2", "ghz_c7", "ghz4_c9")
-    out = []
-    for r in R_GRID:
-        ghz = build_state("ghz", 3, r)
-        epr = build_state("epr1", 3, r)
-        row = ("fig5", r,
-               optimize_gains(ghz, "c1").ent_ratio,
-               optimize_gains(epr, "c1").ent_ratio,
-               optimize_gains(ghz, "c2").ent_ratio,
-               optimize_gains(epr, "c2").ent_ratio,
-               witnesses.evaluate(ghz, "c7").ent_ratio,
-               witnesses.evaluate(build_state("ghz", 4, r), "c9", (1.0,) * 4).ent_ratio)
-        out.append(row)
-    return header, out
+def _sizes(preset, sizes, suffixes, cells):
+    """Column groups n<N>_* of the same cells on one preset at each size N."""
+    return tuple((tuple(f"n{n}_{s}" for s in suffixes), preset, n, cells) for n in sizes)
 
 
-def _reproduce_fig_c8(target: str):
-    builder = "epr1" if target == "fig10" else "ghz"
-    analytic = optimizer.analytic_gains_epr1 if target == "fig10" else optimizer.analytic_gains_ghz
-    sizes = (3, 4, 5, 6, 7) if target == "fig10" else (4, 5, 6)
-    header = ("target", "r") + tuple(f"n{n}_ent" for n in sizes)
-    if target == "fig10":
-        header = header + tuple(f"n{n}_ent_fixed" for n in sizes)
-    out = []
-    for r in R_GRID:
-        row = [target, r]
-        for n in sizes:
-            g, h = analytic(n, r)
-            gains = GainStructure("tied", n).expand((g, h))
-            row.append(witnesses.evaluate(build_state(builder, n, r), "c8", gains).ent_ratio)
-        if target == "fig10":
-            for n in sizes:
-                report = witnesses.evaluate(build_state(builder, n, r), "c8",
-                                            witnesses.equal_split_gains(n))
-                row.append(report.ent_ratio)
-        out.append(tuple(row))
-    return header, out
-
-
-def _reproduce_fig12():
-    header = ("target", "r", "c10_ent", "n4_c8_ent", "n5_c8_ent", "n6_c8_ent")
-    out = []
-    for r in R_GRID:
-        row = ["fig12", r]
-        row.append(optimize_gains(build_state("epr2", 4, r), "c10").ent_ratio)
-        for n in (4, 5, 6):
-            res = optimize_gains(build_state("epr2", n, r), "c8",
-                                 structure=GainStructure("epr2", n), objective="lhs")
-            row.append(res.ent_ratio)
-        out.append(tuple(row))
-    return header, out
-
-
-_REPRODUCE = {
-    "table1": _reproduce_table1,
-    "table2": _reproduce_table2,
-    "table3": lambda: _reproduce_table_c8("table3"),
-    "table4": lambda: _reproduce_table_c8("table4"),
-    "fig4": _reproduce_fig4,
-    "fig5": _reproduce_fig5,
-    "fig10": lambda: _reproduce_fig_c8("fig10"),
-    "fig11": lambda: _reproduce_fig_c8("fig11"),
-    "fig12": _reproduce_fig12,
+# target -> column groups (column names, state preset, modes, cells(state, r));
+# table3/table4 and fig10/fig11 use the closed-form stationary gains, the
+# epr2-structure c8 columns of fig12 the "lhs" objective, as the reference
+# grids were produced
+REPRODUCE = {
+    "table1": _ghz_epr(("g", "h", "ent"), _search("c5", params=True)),
+    "table2": _ghz_epr(("g1", "g2", "g3", "ent"), _search("c1", params=True)),
+    "table3": _sizes("epr1", (4, 5, 6), ("g", "h", "ent"),
+                     _stationary(optimizer.analytic_gains_epr1, gains=True)),
+    "table4": _sizes("ghz", (4, 5, 6), ("g", "h", "ent"),
+                     _stationary(optimizer.analytic_gains_ghz, gains=True)),
+    "fig4": (_ghz_epr(("simple",), _fixed("c3")) + _ghz_epr(("gen",), _search("c5"))
+             + _ghz_epr(("gen_prod",), _search("c6"))),
+    "fig5": (_ghz_epr(("c1",), _search("c1")) + _ghz_epr(("c2",), _search("c2"))
+             + ((("ghz_c7",), "ghz", 3, _fixed("c7")),
+                (("ghz4_c9",), "ghz", 4, _fixed("c9", lambda n: (1.0,) * n)))),
+    "fig10": (_sizes("epr1", range(3, 8), ("ent",), _stationary(optimizer.analytic_gains_epr1))
+              + _sizes("epr1", range(3, 8), ("ent_fixed",),
+                       _fixed("c8", witnesses.equal_split_gains))),
+    "fig11": _sizes("ghz", (4, 5, 6), ("ent",), _stationary(optimizer.analytic_gains_ghz)),
+    "fig12": ((("c10_ent",), "epr2", 4, _search("c10")),) + _sizes(
+        "epr2", (4, 5, 6), ("c8_ent",), _search("c8", structure="epr2", objective="lhs")),
 }
 
 
-def cmd_reproduce(cfg: RunConfig) -> int:
-    if cfg.target not in _REPRODUCE:
-        raise ConfigError(
-            f"unknown reproduce target {cfg.target!r}; known: {', '.join(sorted(_REPRODUCE))}")
-    header, rows = _REPRODUCE[cfg.target]()
-    _write_rows(header, rows, cfg.output)
+def cmd_reproduce(args) -> int:
+    groups = REPRODUCE[args.target]
+    header = ("target", "r") + tuple(name for names, _, _, _ in groups for name in names)
+    rows = []
+    for r in R_GRID:
+        states, row = {}, [args.target, r]
+        for _, preset, n, cells in groups:
+            if (preset, n) not in states:
+                states[preset, n] = build_state(preset, n, r)
+            row.extend(cells(states[preset, n], r))
+        rows.append(row)
+    _write_rows(header, rows, args.output)
     return EXIT_OK
 
 
@@ -525,86 +447,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_state_args(p, with_loss=True):
-        p.add_argument("--state", choices=sorted(optimizer.BUILDERS),
+    def add_state_args(p, sweep=False):
+        # a sweep rebuilds its preset at every grid point, so it takes no
+        # network file and no --loss
+        p.add_argument("--state", choices=sorted(optimizer.BUILDERS), required=sweep,
                        help="state preset (vacuum, ghz, epr1, epr2, counterexample)")
         p.add_argument("--n", type=int, default=3, help="mode count (default 3)")
         p.add_argument("--r", type=float, default=0.0, help="squeeze parameter (default 0)")
-        p.add_argument("--network", help="path to a network file instead of --state")
-        if with_loss:
+        if not sweep:
+            p.add_argument("--network", help="path to a network file instead of --state")
             p.add_argument("--loss", nargs=2, action="append", default=[],
                            metavar=("MODE", "ETA"),
                            help="apply a loss channel (1-based mode, efficiency)")
         p.add_argument("-o", "--output", help="write CSV here instead of stdout")
 
+    def add_criterion_args(p, gains_help):
+        p.add_argument("--criterion", required=True, help="criterion id (b1..b3, s1..s3, c1..c10)")
+        p.add_argument("--gains", help=gains_help)
+        p.add_argument("--structure", help="gain structure (tied, free_g3, tied_g, free_g14, epr2)")
+        p.add_argument("--objective", default="entanglement",
+                       choices=("entanglement", "steering", "lhs"))
+
     p = sub.add_parser("build", help="emit the second-moment matrix of a state")
     add_state_args(p)
+    p.set_defaults(run=cmd_build)
 
     p = sub.add_parser("witness", help="evaluate one criterion on a state")
     add_state_args(p)
-    p.add_argument("--criterion", required=True, help="criterion id (b1..b3, s1..s3, c1..c10)")
-    p.add_argument("--gains", help="'auto', tied pair g,h, or explicit list")
-    p.add_argument("--structure", help="gain structure for --gains auto (tied, epr2, ...)")
-    p.add_argument("--objective", default="entanglement",
-                   choices=("entanglement", "steering", "lhs"))
+    add_criterion_args(p, "'auto', tied pair g,h, or explicit list")
+    p.set_defaults(run=cmd_witness)
 
     p = sub.add_parser("optimize", help="optimize gains for a criterion on a state")
     add_state_args(p)
-    p.add_argument("--criterion", required=True)
-    p.add_argument("--gains", help="warm-start parameter list")
-    p.add_argument("--structure", help="gain structure (tied, free_g3, tied_g, free_g14, epr2)")
-    p.add_argument("--objective", default="entanglement",
-                   choices=("entanglement", "steering", "lhs"))
+    add_criterion_args(p, "warm-start parameter list")
+    p.set_defaults(run=cmd_optimize)
 
     p = sub.add_parser("sweep", help="evaluate a criterion over an r or eta grid")
-    add_state_args(p, with_loss=False)
-    p.add_argument("--criterion", required=True)
+    add_state_args(p, sweep=True)
+    add_criterion_args(p, "fixed gains (disables optimization)")
     p.add_argument("--param", choices=("r", "eta"), default="r")
-    p.add_argument("--values", required=True, help="comma list or lo:hi:step")
-    p.add_argument("--loss-modes", help="1-based comma list of lossy modes (eta sweeps)")
-    p.add_argument("--gains", help="fixed gains (disables optimization)")
+    p.add_argument("--values", required=True, type=_parse_values,
+                   help="comma list or lo:hi:step")
+    p.add_argument("--loss-modes", type=_parse_modes, default=(),
+                   help="1-based comma list of lossy modes (eta sweeps)")
     p.add_argument("--no-optimize", action="store_true",
                    help="evaluate at default gains instead of optimizing")
-    p.add_argument("--structure", help="gain structure for optimization")
-    p.add_argument("--objective", default="entanglement",
-                   choices=("entanglement", "steering", "lhs"))
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="emit a canned reference grid")
-    p.add_argument("target", help="table1|table2|table3|table4|fig4|fig5|fig10|fig11|fig12")
+    p.add_argument("target", choices=REPRODUCE)
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")
+    p.set_defaults(run=cmd_reproduce)
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("state", "n", "r", "network", "criterion", "gains", "structure",
-                 "objective", "output", "target", "values", "param"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "loss", None):
-        loss = []
-        for mode, eta in args.loss:
-            try:
-                loss.append((int(mode), float(eta)))
-            except ValueError as exc:
-                raise ConfigError(f"bad --loss {mode} {eta}: {exc}") from exc
-        cfg.loss = tuple(loss)
-    if getattr(args, "loss_modes", None):
-        try:
-            cfg.loss_modes = tuple(int(v) for v in args.loss_modes.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad --loss-modes: {exc}") from exc
-    cfg.no_optimize = bool(getattr(args, "no_optimize", False))
-    return cfg
-
-
-_COMMANDS = {
-    "build": cmd_build,
-    "witness": cmd_witness,
-    "optimize": cmd_optimize,
-    "sweep": cmd_sweep,
-    "reproduce": cmd_reproduce,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -614,8 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except PhysicalityError as exc:
         print(f"cvwl: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

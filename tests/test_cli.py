@@ -226,6 +226,25 @@ class TestExitCodes:
                      "--param", "eta", "--values", "0.5"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["witness", "sweep"])
+    @pytest.mark.parametrize("criterion", ["c3", "c4", "c7"])
+    def test_gains_for_criteria_without_gain_slots(self, command, criterion, capsys):
+        argv = [command, "--state", "ghz", "--n", "3", "--r", "1",
+                "--criterion", criterion, "--gains", "5,5"]
+        if command == "sweep":
+            argv += ["--values", "0.5"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes no gains" in captured.err
+
+    def test_sweep_takes_no_network(self, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        path.write_text("input vacuum\n")
+        assert main(["sweep", "--state", "ghz", "--network", str(path), "--n", "3",
+                     "--criterion", "c3", "--values", "0.5", "--no-optimize"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
     def test_missing_values_for_sweep(self):
         assert main(["sweep", "--state", "ghz", "--n", "3", "--criterion", "c5",
                      "--values", ""]) == EXIT_CONFIG
