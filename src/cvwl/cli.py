@@ -212,21 +212,23 @@ def _parse_gain_list(text: str):
         raise ConfigError(f"bad gains list {text!r}: {exc}") from exc
 
 
+def _check_gains_flag(args):
+    """Criteria without gain slots (c3, c4, c7) take no --gains."""
+    if args.gains and witnesses.lookup(args.criterion).slots == ():
+        raise ConfigError(f"{args.criterion} takes no gains; drop --gains")
+
+
 def _gains_for(args, n: int):
     """The fixed gains an explicit --gains list gives on `n` modes; None when
     --gains is absent or 'auto'.  The list is criterion-specific; for
     c5/c6/c8 it is either a tied pair 'g,h' or the full 2N values
-    h_1..h_N,g_1..g_N.  Criteria without gain slots (c3, c4, c7) take none."""
-    if not args.gains:
+    h_1..h_N,g_1..g_N."""
+    _check_gains_flag(args)
+    if not args.gains or args.gains.strip().lower() == "auto":
         return None
     cid = args.criterion
-    slots = witnesses.lookup(cid).slots
-    if slots == ():
-        raise ConfigError(f"{cid} takes no gains; drop --gains")
-    if args.gains.strip().lower() == "auto":
-        return None
     values = _parse_gain_list(args.gains)
-    if slots is witnesses.VECTOR:
+    if witnesses.lookup(cid).slots is witnesses.VECTOR:
         if len(values) == 2:
             return GainStructure("tied", n).expand(values)
         if len(values) == 2 * n:
@@ -297,6 +299,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _check_gains_flag(args)
     state = _load_state(args)
     structure = default_structure(args.criterion, state.n_modes, args.structure)
     init = _parse_gain_list(args.gains) if args.gains and args.gains.lower() != "auto" else None

@@ -1,5 +1,6 @@
 """Gain selection: closed forms for the GHZ and asymmetric EPR families,
-plus a derivative-free minimizer over tied gain structures.
+an exact solve where the objective is a quadratic in the free gains, and a
+derivative-free minimizer elsewhere.
 
 Objectives: "entanglement" minimizes ``ent_ratio = lhs / bound`` (the
 bound of c5/c6/c8 moves with the gains, so this differs from minimizing
@@ -9,15 +10,24 @@ the stationarity procedure behind the published gain tables, and the only
 objective whose optimum matches them for the criterion-8 structures at
 four or more modes.
 
-The search runs a vectorized coarse grid over [-2, 2] per free parameter
-followed by Nelder-Mead refinement; with at most three tied parameters
-the grid brackets the global optimum.  Passing an explicit ``init`` skips
-the grid (warm start) and refines from there.
+Exact solve: where the objective's bound does not move with the gains
+(objective "lhs", or a constant bound), a sum criterion's objective is a
+quadratic in the free parameters.  So is the sum of Var v of a product
+criterion whose parameters each feed one form (s1-s3, c2), and with every
+Var u fixed that sum has the same minimizers.  The quadratic is read off the batched evaluator at
+1 + 2k + k(k-1)/2 points and its minimum-norm minimizer solved for, so a
+parameter no form uses comes out as 0.  This covers every objective of
+b1-b3, s1-s3, c1, c2, c9 and c10, and "lhs" on c5 and c8.
 
-Grid step: 0.01 for one or two free parameters.  Three-parameter problems
-use a 0.05 grid plus refinement instead — a 0.01 cube would be 6.5e7
-points for no accuracy gain, since the simplex stage converges to ~1e-8
-from any bracketing cell.
+Search: the ratio objectives on c5, c6 and c8 and "lhs" on c6 run a
+vectorized coarse grid over [-2, 2] per free parameter followed by
+Nelder-Mead refinement; with at most three tied parameters the grid
+brackets the global optimum.  Passing an explicit ``init`` skips the grid
+(warm start) and refines from there.  Grid step: 0.01 for one or two free
+parameters; three use a 0.05 grid plus refinement instead — a 0.01 cube
+would be 6.5e7 points for no accuracy gain, since the simplex stage
+converges to ~1e-8 from any bracketing cell.  ``scipy.optimize`` is
+imported on the first refinement, not with the package.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import networks, witnesses
 from .networks import build_counterexample, build_epr_type_i, build_epr_type_ii, build_ghz
@@ -38,6 +47,15 @@ GRID_RANGE = (-2.0, 2.0)
 # grid rows evaluated at once; keeps the objective's temporaries in cache
 GRID_CHUNK = 1 << 14
 RATIO_TOL = 1e-8
+
+
+def _scipy_minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: only the
+    Nelder-Mead refinement needs scipy, and its import takes most of the
+    package's start-up time."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def analytic_gains_ghz(n: int, r: float):
@@ -169,7 +187,10 @@ class OptimizationResult:
     `gains` is whatever the criterion's evaluator accepts (a GainVector for
     c5/c6/c8, a tuple of scalar gains otherwise); `ratio` is the minimized
     objective and `ent_ratio` the entanglement ratio re-evaluated through
-    :mod:`cvwl.witnesses` at the returned gains.
+    :mod:`cvwl.witnesses` at the returned gains.  `iterations` counts
+    Nelder-Mead iterations and `converged` reports whether Nelder-Mead met
+    its tolerances; an exact solve, or a criterion without free gains,
+    reports 0 iterations and converged.
     """
 
     criterion_id: str
@@ -184,13 +205,20 @@ class OptimizationResult:
 
 
 def _objective(state: State, criterion: str, structure: GainStructure, objective: str):
-    """The minimized objective as a function of a (B, k) parameter array."""
+    """The minimized objective as a function of a (B, k) parameter array.
+
+    Its attribute `quadratic` is a quadratic in the parameters with the same
+    minimizers, or None where the objective has none (a bound that moves
+    with the gains, c6's product, c7's best pair)."""
     crit = witnesses.lookup(criterion)
     terms = witnesses.batch_terms(crit, second_moments(state))
     n = state.n_modes
     width = 2 * n if crit.slots is witnesses.VECTOR else len(crit.slots)
-    if structure.rows(np.zeros((1, structure.n_params))).shape[1] != width:
+    origin = structure.rows(np.zeros((1, structure.n_params)))
+    if origin.shape[1] != width:
         raise ValueError(f"structure {structure.kind!r} does not fit criterion {criterion}")
+    if objective != "lhs" and witnesses.batch_bound(crit, origin, n, objective) is None:
+        raise ValueError(f"no {objective} bound is defined for {criterion} at {n} modes")
 
     def at(params: np.ndarray) -> np.ndarray:
         rows = structure.rows(params)
@@ -198,11 +226,40 @@ def _objective(state: State, criterion: str, structure: GainStructure, objective
         if objective == "lhs":
             return lhs
         bound = witnesses.batch_bound(crit, rows, n, objective)
-        if bound is None:
-            raise ValueError(f"no {objective} bound is defined for {criterion} at {n} modes")
         return np.where(bound > 0.0, lhs / np.maximum(bound, 1e-300), np.inf)
 
+    at.quadratic = None
+    bound = {"entanglement": crit.ent_bound, "steering": crit.steer_bound}.get(objective)
+    if bound == witnesses.BY_GAINS:
+        return at
+    if crit.combine == "sum":
+        at.quadratic = at
+    elif crit.combine == "product" and crit.slots is not witnesses.VECTOR:
+        form, _, slot = crit.slot_entries
+        feeds = set(zip(structure._sources[0][slot].tolist(), form.tolist()))
+        if len({param for param, _ in feeds}) == len(feeds):  # one form per parameter
+            at.quadratic = lambda params: terms(structure.rows(params))[1].sum(axis=1)
     return at
+
+
+def _quadratic_minimizer(quadratic, k: int) -> np.ndarray:
+    """The minimum-norm minimizer of a quadratic q(p) = c + b.p + p.A.p / 2
+    over R^k, from q at 0, +-e_i and e_i + e_j (i < j), which give c, b and
+    A exactly: the least-squares solution of A p = -b.  A parameter whose
+    row of A and entry of b are at rounding level (one that no form reads)
+    stays exactly 0."""
+    eye = np.eye(k)
+    i, j = np.triu_indices(k, 1)
+    q = quadratic(np.concatenate((np.zeros((1, k)), eye, -eye, eye[i] + eye[j])))
+    c, plus, minus, mixed = q[0], q[1:k + 1], q[k + 1:2 * k + 1], q[2 * k + 1:]
+    hessian = np.diag(plus + minus - 2.0 * c)
+    hessian[i, j] = hessian[j, i] = mixed - plus[i] - plus[j] + c
+    grad = (plus - minus) / 2.0
+    rounding = 64.0 * np.finfo(float).eps * np.max(np.abs(q))
+    free = np.flatnonzero(np.maximum(np.abs(hessian).max(axis=1), np.abs(grad)) > rounding)
+    params = np.zeros(k)
+    params[free] = np.linalg.lstsq(hessian[np.ix_(free, free)], -grad[free], rcond=None)[0]
+    return params
 
 
 def optimize_gains(state: State, criterion: str,
@@ -211,10 +268,11 @@ def optimize_gains(state: State, criterion: str,
                    objective: str = "entanglement") -> OptimizationResult:
     """Minimize the normalized witness ratio over a tied gain structure.
 
-    Cold start (no `init`): vectorized grid over [-2, 2]^k followed by
-    Nelder-Mead refinement from the best cell.  Warm start: refinement from
-    `init` only.  Deterministic either way.  `converged` reports whether
-    Nelder-Mead met its tolerances.
+    Where the objective has a quadratic with the same minimizers (see the
+    module docstring) its minimum is solved for exactly, and `init` is only
+    checked.  Otherwise, cold start (no `init`): vectorized grid over
+    [-2, 2]^k followed by Nelder-Mead refinement from the best cell; warm
+    start: refinement from `init` only.  Deterministic either way.
     """
     if objective not in ("entanglement", "steering", "lhs"):
         raise ValueError(
@@ -223,21 +281,19 @@ def optimize_gains(state: State, criterion: str,
     structure = structure or default_structure(cid, state.n_modes)
     k = structure.n_params
     batch = _objective(state, cid, structure, objective)
+    if init is not None and np.shape(init) != (k,):
+        raise ValueError(f"init must supply {k} values for {structure.param_names}")
 
     def ratio_at(params) -> float:
         return float(batch(np.atleast_2d(params))[0])
 
-    evaluations = 0
-    if k == 0:
-        best = ()
-        best_ratio = ratio_at(np.zeros((1, 0)))
-        converged = True
-        iterations = 1
+    if k == 0 or batch.quadratic is not None:
+        best = _quadratic_minimizer(batch.quadratic, k) if k else np.zeros(0)
+        best_ratio = ratio_at(best)
+        iterations, converged = 0, True
     else:
         if init is not None:
             best = np.asarray(init, dtype=float)
-            if best.shape != (k,):
-                raise ValueError(f"init must supply {k} values for {structure.param_names}")
             best_ratio = ratio_at(best)
         else:
             step = 0.01 if k <= 2 else 0.05
@@ -253,7 +309,6 @@ def optimize_gains(state: State, criterion: str,
             idx = int(tied[np.argmin(np.einsum("bi,bi->b", pts[tied], pts[tied]))])
             best = pts[idx]
             best_ratio = float(ratios[idx])
-            evaluations = pts.shape[0]
         # absolute-scale initial simplex: the default one is relative to the
         # start point and degenerates when warm-starting from gains near zero
         simplex = np.tile(np.asarray(best, dtype=float), (k + 1, 1))
@@ -266,16 +321,15 @@ def optimize_gains(state: State, criterion: str,
         )
         if np.isfinite(res.fun) and res.fun <= best_ratio:
             best, best_ratio = res.x, float(res.fun)
-        best = tuple(float(v) for v in np.atleast_1d(best))
-        converged = bool(res.success)
-        iterations = evaluations + int(res.nit)
+        iterations, converged = int(res.nit), bool(res.success)
 
+    best = tuple(float(v) for v in np.atleast_1d(best))
     gains = structure.expand(best)
     report = witnesses.evaluate(state, cid, gains)
     return OptimizationResult(
         criterion_id=cid,
         objective=objective,
-        params=tuple(best) if k else (),
+        params=best,
         gains=gains,
         ratio=best_ratio,
         ent_ratio=report.ent_ratio,
@@ -330,10 +384,11 @@ def sweep(builder: str, n: int, criterion: str,
     """Evaluate (and optionally gain-optimize) a criterion over a grid.
 
     Exactly one of `r_values` (state squeezing sweep) or `eta_values`
-    (loss sweep at fixed `r`, applying efficiency eta to each mode in
-    `loss_modes`, 0-based) must be given.  With `optimize`, each point is
-    gain-optimized; `warm_start` seeds each point with the previous
-    optimum (the coarse grid still runs for the first point).
+    (loss sweep at fixed `r`, applying efficiency eta once to each mode in
+    `loss_modes`, 0-based and distinct) must be given.  With `optimize`,
+    each point is gain-optimized; `warm_start` seeds each point with the
+    previous optimum (the coarse grid still runs for the first point; an
+    exact solve ignores the seed).
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")
@@ -341,6 +396,8 @@ def sweep(builder: str, n: int, criterion: str,
         raise ValueError("eta sweeps need the base squeeze parameter r")
     if eta_values is not None and not loss_modes:
         raise ValueError("eta sweeps need at least one loss mode")
+    if len(set(loss_modes)) != len(loss_modes):
+        raise ValueError(f"loss_modes must not repeat a mode, got {tuple(loss_modes)} (0-based)")
 
     def state_at(value: float) -> State:
         if r_values is not None:

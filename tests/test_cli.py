@@ -226,7 +226,7 @@ class TestExitCodes:
                      "--param", "eta", "--values", "0.5"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("command", ["witness", "sweep"])
+    @pytest.mark.parametrize("command", ["witness", "sweep", "optimize"])
     @pytest.mark.parametrize("criterion", ["c3", "c4", "c7"])
     def test_gains_for_criteria_without_gain_slots(self, command, criterion, capsys):
         argv = [command, "--state", "ghz", "--n", "3", "--r", "1",
@@ -237,6 +237,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "takes no gains" in captured.err
+
+    def test_repeated_loss_modes(self, capsys):
+        # a repeated mode would apply its loss twice (efficiency 0.25 here)
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
+                     "--param", "eta", "--values", "0.5", "--loss-modes", "2,2",
+                     "--no-optimize"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeat" in captured.err
 
     def test_sweep_takes_no_network(self, tmp_path, capsys):
         path = tmp_path / "net.txt"

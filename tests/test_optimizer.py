@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, minimize
 
 from cvwl import (
     GainStructure,
@@ -165,6 +169,27 @@ class TestOptimizeGains:
         result = optimize_gains(build_epr_type_i(3, 1.0), "c3")
         assert result.params == ()
         assert result.ent_ratio == pytest.approx(2 * math.exp(-2), rel=1e-12)
+        assert (result.iterations, result.converged) == (0, True)
+
+    def test_iterations_count_nelder_mead_only(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            seen.append(res.nit)
+            return res
+
+        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", spy)
+        result = optimize_gains(build_ghz(3, 1.0), "c5")  # cold: grid, then refine
+        assert seen and result.iterations == seen[0]
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        src = Path(cvwl.optimizer.__file__).resolve().parents[1]
+        code = ("import sys, cvwl.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "[]"
 
 
 def _objective_cases():
@@ -199,6 +224,94 @@ class TestBatchedObjective:
                     assert got == want
                 else:
                     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# the exact solve covers every objective of these rows, and "lhs" on c5/c8
+EXACT_ROWS = ("b1", "b2", "b3", "s1", "s2", "s3", "c1", "c2", "c9", "c10")
+
+
+def _exact_cases():
+    for cid, n, kind, objective in _objective_cases():
+        if cid in EXACT_ROWS or (objective == "lhs" and cid in ("c5", "c8")):
+            yield cid, n, kind, objective
+
+
+def _states(n, rng):
+    builders = ["ghz", "epr1", "epr2"] + (["counterexample"] if n == 3 else [])
+    return ([build_state(b, n, float(rng.uniform(0.0, 2.0))) for b in builders]
+            + [random_state(n, rng) for _ in range(2)])
+
+
+class TestExactSolve:
+    @pytest.mark.parametrize("builder,analytic", [
+        (build_ghz, analytic_gains_ghz), (build_epr_type_i, analytic_gains_epr1)])
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("r", [0.0, 0.25, 1.0, 2.0, 3.0])
+    def test_tied_c8_lhs_matches_the_closed_forms(self, builder, analytic, n, r):
+        result = optimize_gains(builder(n, r), "c8", objective="lhs")
+        g, h = analytic(n, r)
+        assert result.params[0] == pytest.approx(g, abs=1e-12)
+        assert result.params[1] == pytest.approx(h, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 1.0, 2.0])
+    def test_epr1_c1_gain_matches_the_closed_form(self, r):
+        result = optimize_gains(build_epr_type_i(3, r), "c1")
+        assert result.params[0] == pytest.approx(math.sqrt(2) * math.tanh(2 * r), abs=1e-12)
+
+    def test_path_follows_the_table(self):
+        exact = set(_exact_cases())
+        for cid, n, kind, objective in _objective_cases():
+            structure = GainStructure(kind, n)
+            if structure.n_params:
+                quadratic = _objective(vacuum_state(n), cid, structure, objective).quadratic
+                assert (quadratic is not None) == ((cid, n, kind, objective) in exact)
+
+    @pytest.mark.parametrize("cid,n,kind,objective", list(_exact_cases()))
+    def test_no_grid_point_or_refine_does_better(self, cid, n, kind, objective, rng):
+        structure = GainStructure(kind, n)
+        k = structure.n_params
+        axis = np.arange(-2.0, 2.01, 0.25)
+        pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")], axis=1)
+        for state in _states(n, rng):
+            exact = optimize_gains(state, cid, structure=structure, objective=objective)
+            batch = _objective(state, cid, structure, objective)
+            grid = batch(pts)
+            refined = minimize(lambda p: float(batch(p[None])[0]), pts[np.argmin(grid)],
+                               method="Nelder-Mead",
+                               options={"xatol": 1e-10, "fatol": 1e-15, "maxfev": 20000})
+            assert exact.ratio <= grid.min() * (1 + 1e-12)
+            assert exact.ratio <= refined.fun * (1 + 1e-12)
+
+    def test_no_exact_case_calls_nelder_mead(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Nelder-Mead called")
+
+        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", refuse)
+        for cid, n, kind, objective in _exact_cases():
+            state = random_state(n, rng)
+            result = optimize_gains(state, cid, structure=GainStructure(kind, n),
+                                    objective=objective)
+            assert (result.iterations, result.converged) == (0, True)
+            assert optimize_gains(state, cid, init=result.params,
+                                  structure=GainStructure(kind, n),
+                                  objective=objective).params == result.params
+
+    def test_unused_parameters_come_out_zero(self):
+        # B_I takes g3 only; h_L of the epr2 structure copies nowhere at N = 3
+        assert optimize_gains(build_ghz(3, 1.0), "b1").params[:2] == (0.0, 0.0)
+        result = optimize_gains(build_epr_type_ii(3, 1.0), "c8",
+                                structure=GainStructure("epr2", 3), objective="lhs")
+        assert result.params[1] == 0.0
+
+    @pytest.mark.parametrize("cid,kwargs,match", [
+        ("c1", {"init": (0.5,)}, "init must supply"),
+        ("c3", {"init": (1.0, 2.0)}, "init must supply"),
+        ("c9", {"objective": "steering"}, "no steering bound"),
+    ])
+    def test_errors_still_raise(self, cid, kwargs, match):
+        n = 4 if cid == "c9" else 3
+        with pytest.raises(ValueError, match=match):
+            optimize_gains(build_ghz(n, 1.0), cid, **kwargs)
 
 
 class TestStructures:
@@ -281,6 +394,10 @@ class TestSweep:
             sweep("ghz", 3, "c5", r_values=(1,), eta_values=(0.5,))
         with pytest.raises(ValueError):
             sweep("ghz", 3, "c5", eta_values=(0.5,))
+
+    def test_repeated_loss_mode_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            sweep("ghz", 3, "c3", eta_values=(0.5,), r=1.0, loss_modes=(1, 1), optimize=False)
 
 
 class TestBuildState:
