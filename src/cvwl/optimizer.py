@@ -1,6 +1,6 @@
 """Gain selection: closed forms for the GHZ and asymmetric EPR families,
-an exact solve where the objective is a quadratic in the free gains, and a
-derivative-free minimizer elsewhere.
+exact solves where the objective allows them, and a derivative-free
+minimizer elsewhere.
 
 Objectives: "entanglement" minimizes ``ent_ratio = lhs / bound`` (the
 bound of c5/c6/c8 moves with the gains, so this differs from minimizing
@@ -10,24 +10,32 @@ the stationarity procedure behind the published gain tables, and the only
 objective whose optimum matches them for the criterion-8 structures at
 four or more modes.
 
-Exact solve: where the objective's bound does not move with the gains
-(objective "lhs", or a constant bound), a sum criterion's objective is a
-quadratic in the free parameters.  So is the sum of Var v of a product
-criterion whose parameters each feed one form (s1-s3, c2), and with every
-Var u fixed that sum has the same minimizers.  The quadratic is read off the batched evaluator at
-1 + 2k + k(k-1)/2 points and its minimum-norm minimizer solved for, so a
-parameter no form uses comes out as 0.  This covers every objective of
-b1-b3, s1-s3, c1, c2, c9 and c10, and "lhs" on c5 and c8.
+Exact quadratic solve: where the objective's bound does not move with the
+gains (objective "lhs", or a constant bound), a sum criterion's objective
+is a quadratic in the free parameters.  So is Var u + Var v of a product
+criterion whose parameters each feed one of its terms (s1-s3, c2 and c6),
+and as every term is positive that sum has the same minimizers.  The
+quadratic is read off the batched evaluator at 1 + 2k + k(k-1)/2 points
+and its minimum-norm minimizer solved for, so a parameter no form uses
+comes out as 0.  This covers every objective of b1-b3, s1-s3, c1, c2, c9
+and c10, and "lhs" on c5, c6 and c8.
 
-Search: the ratio objectives on c5, c6 and c8 and "lhs" on c6 run a
-vectorized coarse grid over [-2, 2] per free parameter followed by
-Nelder-Mead refinement; with at most three tied parameters the grid
-brackets the global optimum.  Passing an explicit ``init`` skips the grid
-(warm start) and refines from there.  Grid step: 0.01 for one or two free
-parameters; three use a 0.05 grid plus refinement instead — a 0.01 cube
-would be 6.5e7 points for no accuracy gain, since the simplex stage
-converges to ~1e-8 from any bracketing cell.  ``scipy.optimize`` is
-imported on the first refinement, not with the package.
+Exact tied ratio solve: with the "tied" structure the left-hand side of
+c5, c6 and c8 is built from A(h) = Var u and B(g) = Var v, two 1-D
+quadratics read off three evaluator probes, and the bound depends only on
+q = gh, piecewise affine in q.  On each affine piece alpha + beta q the
+stationary points of the ratio are roots of a cubic (sum) or a quadratic
+(product), on each kink curve gh = q0 those of a quartic, and q = 0 is
+the two axes (fractional programming: Dinkelbach, Management Science 13,
+492, 1967).  Every such candidate is scored with the batched objective
+and the least kept.
+
+Search: the ratio objectives of the 3-parameter "epr2" structure run a
+vectorized coarse grid over [-2, 2] per free parameter (step 0.05)
+followed by Nelder-Mead refinement; the grid does not bracket every
+optimum.  Passing an explicit ``init`` to a ratio objective skips the grid
+or the tied solve (warm start) and refines from there.  ``scipy.optimize``
+is imported on the first refinement, not with the package.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .networks import build_counterexample, build_epr_type_i, build_epr_type_ii,
 from .states import GainVector, State, apply_loss, second_moments, vacuum_state
 
 GRID_RANGE = (-2.0, 2.0)
+GRID_STEP = 0.05
 # grid rows evaluated at once; keeps the objective's temporaries in cache
 GRID_CHUNK = 1 << 14
 RATIO_TOL = 1e-8
@@ -209,7 +218,9 @@ def _objective(state: State, criterion: str, structure: GainStructure, objective
 
     Its attribute `quadratic` is a quadratic in the parameters with the same
     minimizers, or None where the objective has none (a bound that moves
-    with the gains, c6's product, c7's best pair)."""
+    with the gains, c7's best pair).  Its attribute `stationary` lists the
+    candidate minimizers of a tied ratio objective (see
+    :func:`_tied_stationary`), or is None for every other objective."""
     crit = witnesses.lookup(criterion)
     terms = witnesses.batch_terms(crit, second_moments(state))
     n = state.n_modes
@@ -228,18 +239,112 @@ def _objective(state: State, criterion: str, structure: GainStructure, objective
         bound = witnesses.batch_bound(crit, rows, n, objective)
         return np.where(bound > 0.0, lhs / np.maximum(bound, 1e-300), np.inf)
 
-    at.quadratic = None
+    at.quadratic = at.stationary = None
     bound = {"entanglement": crit.ent_bound, "steering": crit.steer_bound}.get(objective)
     if bound == witnesses.BY_GAINS:
+        if structure.kind == "tied":
+            at.stationary = lambda: _tied_stationary(
+                terms, structure, crit.combine == "product", objective)
         return at
     if crit.combine == "sum":
         at.quadratic = at
-    elif crit.combine == "product" and crit.slots is not witnesses.VECTOR:
-        form, _, slot = crit.slot_entries
-        feeds = set(zip(structure._sources[0][slot].tolist(), form.tolist()))
-        if len({param for param, _ in feeds}) == len(feeds):  # one form per parameter
-            at.quadratic = lambda params: terms(structure.rows(params))[1].sum(axis=1)
+    elif crit.combine == "product":
+        sources = structure._sources[0]
+        if crit.slots is witnesses.VECTOR:  # h_1..h_N feed Var u, g_1..g_N Var v
+            feeds = zip(sources, np.repeat([0, 1], n))
+            quadratic = lambda rows: np.add(*terms(rows)[:2])[:, 0]
+        else:  # every Var u is fixed; a parameter feeds the Var v of its forms
+            form, _, slot = crit.slot_entries
+            feeds = zip(sources[slot], form)
+            quadratic = lambda rows: terms(rows)[1].sum(axis=1)
+        feeds = {(int(param), int(term)) for param, term in feeds if param >= 0}
+        if len({param for param, _ in feeds}) == len(feeds):  # one term per parameter
+            at.quadratic = lambda params: quadratic(structure.rows(params))
     return at
+
+
+def _tied_pieces(n: int, objective: str):
+    """The affine functions alpha + beta q of q = gh that make up the sum
+    bound of the tied gains, as arrays alpha and beta, and every q != 0
+    where two of them cross, which includes the bound's kinks."""
+    if objective == "steering":  # 2 min(1, |q|) at three modes
+        pieces = {(2.0, 0.0), (0.0, 2.0), (0.0, -2.0)}
+    else:  # 2 min over k = 1..n-1 of |1 + (n-1-k) q| + |k q|, the two side sums
+        pieces = {(2.0 * s, 2.0 * (s * (n - 1 - k) + t * k))
+                  for k in range(1, n) for s in (1, -1) for t in (1, -1)}
+    alpha, beta = np.array(sorted(pieces)).T
+    i, j = np.nonzero(beta[:, None] != beta[None, :])
+    kinks = (alpha[j] - alpha[i]) / (beta[i] - beta[j])
+    return alpha, beta, np.unique(kinks[kinks != 0.0])
+
+
+def _real_roots(coeffs) -> np.ndarray:
+    """The real roots of a polynomial (highest power first), counting roots
+    whose imaginary part is at rounding level, as a double root gives."""
+    roots = np.roots(coeffs)
+    return roots.real[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))]
+
+
+def _tied_stationary(terms, structure: GainStructure, product: bool, objective: str):
+    """Candidate minimizers (g, h) of the tied ratio lhs / b(gh), sorted.
+
+    lhs is A(h) + B(g) or sqrt(A(h) B(g)), with A(h) = a0 + 2 a1 h + a2 h^2
+    and B(g) = b0 + 2 b1 g + b2 g^2 read off the probes (g, h) = 0, 1, -1.
+    The candidates are the unconstrained minimum of lhs, its minima on the
+    two axes (q = 0), the stationary points of lhs / (alpha + beta q) on
+    every affine piece of the bound, and the minima of lhs on every curve
+    gh = q0 at which pieces cross.  Where the minimum is attained, it is
+    at one of them; a singular solve gives a non-finite candidate.
+    """
+    var_u, var_v = terms(structure.rows(np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])))[:2]
+    coeffs = np.array([[v[0], (v[1] - v[2]) / 4.0, (v[1] + v[2]) / 2.0 - v[0]]
+                       for v in (var_u[:, 0], var_v[:, 0])])
+    # the candidates do not change when lhs is scaled; scaling keeps the
+    # products of coefficients below from overflowing at large r
+    (a0, a1, a2), (b0, b1, b2) = coeffs / np.max(np.abs(coeffs))
+    points = [(-b1 / b2, -a1 / a2), (0.0, -a1 / a2), (-b1 / b2, 0.0)]
+    alpha, beta, kinks = _tied_pieces(structure.n_modes, objective)
+    for al, be in zip(alpha, beta):
+        if be == 0.0:  # a constant piece: the unconstrained minimum
+            continue
+        if not product:
+            # grad lhs = R grad b is linear in (h, g) at fixed R; lhs = R b
+            # then leaves a cubic in R
+            c = a0 + b0
+            for ratio in _real_roots([al * be * be / 4.0, -c * be * be / 4.0,
+                                      -al * a2 * b2 - be * a1 * b1,
+                                      c * a2 * b2 - a1 * a1 * b2 - b1 * b1 * a2]):
+                half = be * ratio / 2.0
+                det = a2 * b2 - half * half
+                points.append(((-b1 * a2 - half * a1) / det, (-a1 * b2 - half * b1) / det))
+        elif al == 0.0:  # sqrt(A / h^2) sqrt(B / g^2), each minimized alone
+            points.append((-b0 / b1, -a0 / a1))
+        else:
+            # al (a1 + a2 h) = be g (a0 + a1 h) and its mirror, g eliminated
+            for h in _real_roots([-be * (be * a1 * b0 + al * a2 * b1),
+                                  al * al * a2 * b2 - be * be * a0 * b0,
+                                  al * (be * a0 * b1 + al * a1 * b2)]):
+                points.append((al * (a1 + a2 * h) / (be * (a0 + a1 * h)), h))
+    for q0 in kinks:  # d lhs(q0 / h, h) / dh = 0, times a power of h
+        if product:
+            quartic = [a2 * b0, a1 * b0 + a2 * b1 * q0, 0.0, -q0 * (a0 * b1 + a1 * b2 * q0),
+                       -a0 * b2 * q0 * q0]
+        else:
+            quartic = [a2, a1, 0.0, -b1 * q0, -b2 * q0 * q0]
+        points.extend((q0 / h, h) for h in _real_roots(quartic) if h != 0.0)
+    points = np.array(points, dtype=float) + 0.0  # no -0.0 gains
+    points = points[np.all(np.isfinite(points), axis=1)]
+    return points[np.lexsort(points.T[::-1])]
+
+
+def _least(points: np.ndarray, ratios: np.ndarray):
+    """The point of least ratio.  Flat objectives (e.g. every separable
+    state at ratio 1) are tie-broken toward the smallest gains, then the
+    first point."""
+    floor = float(np.min(ratios))
+    tied = np.flatnonzero(ratios <= floor + 1e-9)
+    idx = int(tied[np.argmin(np.einsum("bi,bi->b", points[tied], points[tied]))])
+    return points[idx], float(ratios[idx])
 
 
 def _quadratic_minimizer(quadratic, k: int) -> np.ndarray:
@@ -270,9 +375,11 @@ def optimize_gains(state: State, criterion: str,
 
     Where the objective has a quadratic with the same minimizers (see the
     module docstring) its minimum is solved for exactly, and `init` is only
-    checked.  Otherwise, cold start (no `init`): vectorized grid over
-    [-2, 2]^k followed by Nelder-Mead refinement from the best cell; warm
-    start: refinement from `init` only.  Deterministic either way.
+    checked.  A cold start (no `init`) of a tied ratio objective scores its
+    stationary candidates and keeps the least, with no refinement; one of
+    the "epr2" structure runs a vectorized grid over [-2, 2]^3 followed by
+    Nelder-Mead refinement from the best cell.  A warm start refines from
+    `init` only.  Deterministic either way.
     """
     if objective not in ("entanglement", "steering", "lhs"):
         raise ValueError(
@@ -291,24 +398,24 @@ def optimize_gains(state: State, criterion: str,
         best = _quadratic_minimizer(batch.quadratic, k) if k else np.zeros(0)
         best_ratio = ratio_at(best)
         iterations, converged = 0, True
+    elif init is None and batch.stationary is not None:
+        # singular solves and far-off candidates may overflow; such a
+        # candidate scores NaN or inf and is never kept over a finite one
+        with np.errstate(all="ignore"):
+            points = batch.stationary()
+            ratios = batch(points)
+        best, best_ratio = _least(points, np.where(np.isnan(ratios), np.inf, ratios))
+        iterations, converged = 0, True
     else:
         if init is not None:
             best = np.asarray(init, dtype=float)
             best_ratio = ratio_at(best)
         else:
-            step = 0.01 if k <= 2 else 0.05
-            axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + step / 2.0, step)
+            axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
             pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")],
                            axis=1)
-            ratios = np.concatenate([batch(pts[lo:lo + GRID_CHUNK])
-                                     for lo in range(0, len(pts), GRID_CHUNK)])
-            floor = float(np.min(ratios))
-            # flat objectives (e.g. every separable state at ratio 1) are
-            # tie-broken toward the smallest gains
-            tied = np.flatnonzero(ratios <= floor + 1e-9)
-            idx = int(tied[np.argmin(np.einsum("bi,bi->b", pts[tied], pts[tied]))])
-            best = pts[idx]
-            best_ratio = float(ratios[idx])
+            best, best_ratio = _least(pts, np.concatenate(
+                [batch(pts[lo:lo + GRID_CHUNK]) for lo in range(0, len(pts), GRID_CHUNK)]))
         # absolute-scale initial simplex: the default one is relative to the
         # start point and degenerates when warm-starting from gains near zero
         simplex = np.tile(np.asarray(best, dtype=float), (k + 1, 1))
@@ -387,8 +494,9 @@ def sweep(builder: str, n: int, criterion: str,
     (loss sweep at fixed `r`, applying efficiency eta once to each mode in
     `loss_modes`, 0-based and distinct) must be given.  With `optimize`,
     each point is gain-optimized; `warm_start` seeds each point with the
-    previous optimum (the coarse grid still runs for the first point; an
-    exact solve ignores the seed).
+    previous optimum (the first point is solved cold: exactly for the tied
+    structure, by grid and refinement for "epr2"; an exact quadratic solve
+    ignores the seed).
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")

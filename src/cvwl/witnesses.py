@@ -31,7 +31,8 @@ Each criterion is described once, as a row of :data:`TABLE`: its forms as
 (h, g) templates with named gain slots, how their terms combine, and its
 two bounds.  :func:`batch_terms` and :func:`batch_bound` evaluate a row at
 a batch of gain rows; :func:`evaluate` is a batch of one, and the gain
-optimizer calls the same two functions on its grid and simplex points.
+optimizer calls the same two functions on its probes, candidates, grid
+and simplex points.
 """
 
 from __future__ import annotations

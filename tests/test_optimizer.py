@@ -25,8 +25,9 @@ from cvwl import (
     vacuum_state,
 )
 import cvwl.optimizer
-from cvwl.optimizer import _objective, default_structure
-from cvwl.witnesses import TABLE, VECTOR
+from cvwl.cli import R_GRID
+from cvwl.optimizer import _objective, _tied_pieces, default_structure
+from cvwl.witnesses import TABLE, VECTOR, batch_bound, lookup
 from conftest import random_state
 
 
@@ -180,7 +181,8 @@ class TestOptimizeGains:
             return res
 
         monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", spy)
-        result = optimize_gains(build_ghz(3, 1.0), "c5")  # cold: grid, then refine
+        result = optimize_gains(build_epr_type_ii(4, 1.0), "c8",  # cold: grid, then refine
+                                structure=GainStructure("epr2", 4))
         assert seen and result.iterations == seen[0]
 
     def test_package_import_leaves_scipy_unloaded(self):
@@ -226,14 +228,23 @@ class TestBatchedObjective:
                     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-# the exact solve covers every objective of these rows, and "lhs" on c5/c8
+# the exact quadratic solve covers every objective of these rows, and "lhs"
+# on c5, c6 and c8
 EXACT_ROWS = ("b1", "b2", "b3", "s1", "s2", "s3", "c1", "c2", "c9", "c10")
 
 
 def _exact_cases():
     for cid, n, kind, objective in _objective_cases():
-        if cid in EXACT_ROWS or (objective == "lhs" and cid in ("c5", "c8")):
+        if cid in EXACT_ROWS or (objective == "lhs" and cid in ("c5", "c6", "c8")):
             yield cid, n, kind, objective
+
+
+def _tied_ratio_cases():
+    """The ratio objectives solved from stationary candidates: c5/c6 at
+    N = 3 (entanglement and steering) and c8 at N = 3..7."""
+    for cid, n in [("c5", 3), ("c6", 3)] + [("c8", n) for n in range(3, 8)]:
+        for objective in ("entanglement", "steering") if n == 3 else ("entanglement",):
+            yield cid, n, objective
 
 
 def _states(n, rng):
@@ -260,11 +271,13 @@ class TestExactSolve:
 
     def test_path_follows_the_table(self):
         exact = set(_exact_cases())
+        tied_ratio = {(cid, n, "tied", objective) for cid, n, objective in _tied_ratio_cases()}
         for cid, n, kind, objective in _objective_cases():
             structure = GainStructure(kind, n)
             if structure.n_params:
-                quadratic = _objective(vacuum_state(n), cid, structure, objective).quadratic
-                assert (quadratic is not None) == ((cid, n, kind, objective) in exact)
+                batch = _objective(vacuum_state(n), cid, structure, objective)
+                assert (batch.quadratic is not None) == ((cid, n, kind, objective) in exact)
+                assert (batch.stationary is not None) == ((cid, n, kind, objective) in tied_ratio)
 
     @pytest.mark.parametrize("cid,n,kind,objective", list(_exact_cases()))
     def test_no_grid_point_or_refine_does_better(self, cid, n, kind, objective, rng):
@@ -295,6 +308,82 @@ class TestExactSolve:
             assert optimize_gains(state, cid, init=result.params,
                                   structure=GainStructure(kind, n),
                                   objective=objective).params == result.params
+
+    @pytest.mark.parametrize("cid,n,objective", list(_tied_ratio_cases()))
+    def test_tied_ratio_no_grid_search_or_restart_does_better(self, cid, n, objective, rng):
+        structure = GainStructure("tied", n)
+        axis = np.arange(-2.0, 2.01, 0.1)
+        pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        builders = ["ghz", "epr1", "epr2"] + (["counterexample"] if n == 3 else [])
+        states = [build_state(b, n, r) for b in builders for r in R_GRID]
+        states += [vacuum_state(n)] + [random_state(n, rng) for _ in range(3)]
+        options = {"xatol": 1e-9, "fatol": 1e-14, "maxfev": 4000}
+        for state in states:
+            exact = optimize_gains(state, cid, structure=structure, objective=objective)
+            batch = _objective(state, cid, structure, objective)
+            fun = lambda p: float(batch(p[None])[0])
+            grid = batch(pts)
+            searched = minimize(fun, pts[np.argmin(grid)], method="Nelder-Mead", options=options)
+            restart = minimize(fun, 1.05 * np.array(exact.params), method="Nelder-Mead",
+                               options=options)
+            assert exact.ratio == pytest.approx(fun(np.array(exact.params)), rel=1e-15)
+            assert exact.ratio <= min(grid.min(), searched.fun) * (1 + 1e-12)
+            assert exact.ratio <= restart.fun * (1 + 1e-12)
+
+    def test_tied_bound_pieces_describe_the_bound(self, rng):
+        # the bound at q = gh is one of the pieces, and affine between
+        # consecutive kinks (and 0)
+        for n in range(3, 10):
+            for objective in ("entanglement", "steering") if n == 3 else ("entanglement",):
+                alpha, beta, kinks = _tied_pieces(n, objective)
+                ends = np.unique(np.concatenate(([-50.0, 0.0, 50.0], kinks)))
+                lo, hi = ends[:-1], ends[1:]
+                t = rng.uniform(0.0, 1.0, (len(lo), 8))
+                q = np.concatenate((kinks, (lo[:, None] + t * (hi - lo)[:, None]).ravel()))
+                rows = GainStructure("tied", n).rows(np.stack((q, np.ones_like(q)), axis=1))
+                bound = batch_bound(lookup("c8"), rows, n, objective)
+                pieces = alpha[None] + beta[None] * q[:, None]
+                assert np.min(np.abs(pieces - bound[:, None]), axis=1) == pytest.approx(
+                    0.0, abs=1e-12 * np.max(bound))
+                for a, b in zip(lo, hi):
+                    x = np.array([a + (b - a) / 4, (a + b) / 2, b - (b - a) / 4])
+                    y = batch_bound(lookup("c8"), GainStructure("tied", n).rows(
+                        np.stack((x, np.ones(3)), axis=1)), n, objective)
+                    assert y[1] == pytest.approx((y[0] + y[2]) / 2, rel=1e-12)
+
+    def test_tied_c8_finds_the_optimum_outside_the_old_box(self):
+        result = optimize_gains(build_epr_type_ii(6, 0.25), "c8")
+        assert result.ratio == pytest.approx(1.0035386230, abs=1e-10)
+        assert result.params == (pytest.approx(3.26408, abs=1e-5),
+                                 pytest.approx(-4.84745, abs=1e-5))
+
+    def test_tied_c6_on_a_lossy_state_finds_the_optimum_outside_the_old_box(self):
+        # grid + Nelder-Mead on [-2, 2]^2 stopped at 1.1540987 here
+        state = apply_loss(build_ghz(3, 0.817946), 1, 1 - 45 * 0.95 / 49)
+        result = optimize_gains(state, "c6")
+        assert result.ratio == pytest.approx(1.1320462, abs=1e-7)
+        assert result.params[0] == pytest.approx(44.23, abs=0.01)
+        assert result.params[1] == pytest.approx(-0.830, abs=0.001)
+
+    def test_no_cold_tied_ratio_search_refines(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Nelder-Mead called")
+
+        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", refuse)
+        for cid, n, objective in _tied_ratio_cases():
+            for state in (build_ghz(n, 1.0), random_state(n, rng)):
+                result = optimize_gains(state, cid, objective=objective)
+                assert (result.iterations, result.converged) == (0, True)
+
+    def test_reproduce_of_the_searched_targets_leaves_scipy_unloaded(self):
+        src = Path(cvwl.optimizer.__file__).resolve().parents[1]
+        code = ("import contextlib, io, sys, cvwl.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [cvwl.cli.main(['reproduce', t]) for t in ('table1', 'fig4')]\n"
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "[0, 0] []"
 
     def test_unused_parameters_come_out_zero(self):
         # B_I takes g3 only; h_L of the epr2 structure copies nowhere at N = 3
