@@ -33,9 +33,10 @@ and the least kept.
 Search: the ratio objectives of the 3-parameter "epr2" structure run a
 vectorized coarse grid over [-2, 2] per free parameter (step 0.05)
 followed by Nelder-Mead refinement; the grid does not bracket every
-optimum.  Passing an explicit ``init`` to a ratio objective skips the grid
-or the tied solve (warm start) and refines from there.  ``scipy.optimize``
-is imported on the first refinement, not with the package.
+optimum.  Passing an explicit ``init`` to a c5/c6/c8 ratio objective
+skips the grid or the tied solve (warm start) and refines from there.
+``scipy.optimize`` is imported on the first refinement, not with the
+package.
 """
 
 from __future__ import annotations
