@@ -4,11 +4,12 @@ sweeps, and emit the canned reference grids — all as CSV on stdout or a file.
 Each command reads argparse's namespace directly; flag values are converted
 by the parser's `type=` functions, except the `--loss MODE ETA` pairs, which
 `_load_state` converts where it applies them.  `build`, `witness` and
-`optimize` take a state from `--state` or `--network`; `sweep` rebuilds a
-`--state` preset at each grid point.  The reproduce targets (the paper's
-Tables I-IV and Figs. 4, 5, 10-12) are rows of `REPRODUCE`: each target is a
-list of column groups, and one driver evaluates every group at each r of
-`R_GRID`, building each (preset, modes) state once per r.
+`optimize` take a state from `--state` or `--network`; `sweep` takes a
+`--state` preset, built at each r of an r sweep and once for an eta sweep.
+The reproduce targets (the paper's Tables I-IV and Figs. 4, 5, 10-12) are
+rows of `REPRODUCE`: each target is a list of column groups, and one driver
+evaluates every group at each r of `R_GRID`, building each (preset, modes)
+state once per r.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 numerical failure
 (non-physical state).  Mode indices are 1-based on the command line and in
@@ -45,7 +46,6 @@ from .states import (
     SQUEEZE_P,
     SQUEEZE_X,
     GainVector,
-    MixedState,
     PhysicalityError,
     SqueezeSpec,
     apply_loss,
@@ -197,12 +197,15 @@ def _load_state(args):
             mode, eta = int(mode), float(eta)
         except ValueError as exc:
             raise ConfigError(f"bad --loss {mode} {eta}: {exc}") from exc
-        if isinstance(state, MixedState):
-            raise ConfigError("loss channels on mixtures are not supported from the CLI")
-        if not 1 <= mode <= state.n_modes:
-            raise ConfigError(f"loss mode {mode} out of range 1..{state.n_modes}")
-        state = apply_loss(state, mode - 1, eta)
+        state = apply_loss(state, _loss_mode(mode, state.n_modes), eta)
     return state
+
+
+def _loss_mode(mode: int, n: int) -> int:
+    """A 1-based --loss or --loss-modes index, checked and made 0-based."""
+    if not 1 <= mode <= n:
+        raise ConfigError(f"loss mode {mode} out of range 1..{n}")
+    return mode - 1
 
 
 def _parse_gain_list(text: str):
@@ -352,10 +355,11 @@ def cmd_sweep(args) -> int:
         objective=args.objective,
     )
     if args.param == "r":
-        rows = sweep(args.state, args.n, r_values=args.values, **kwargs)
+        kwargs.update(r_values=args.values)
     else:
-        rows = sweep(args.state, args.n, eta_values=args.values, r=args.r,
-                     loss_modes=tuple(m - 1 for m in args.loss_modes), **kwargs)
+        kwargs.update(eta_values=args.values, r=args.r)
+    rows = sweep(args.state, args.n,
+                 loss_modes=tuple(_loss_mode(m, args.n) for m in args.loss_modes), **kwargs)
     out = [_report_row(row.param, args.criterion, row.gains, row.report, args.n)
            for row in rows]
     _write_rows(out[0][0], [cells for _, cells in out], args.output)
@@ -451,8 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_state_args(p, sweep=False):
-        # a sweep rebuilds its preset at every grid point, so it takes no
-        # network file and no --loss
+        # a sweep builds its preset itself (at each r, or once for an eta
+        # sweep), so it takes no network file and no --loss
         p.add_argument("--state", choices=sorted(optimizer.BUILDERS), required=sweep,
                        help="state preset (vacuum, ghz, epr1, epr2, counterexample)")
         p.add_argument("--n", type=int, default=3, help="mode count (default 3)")

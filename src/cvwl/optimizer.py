@@ -491,33 +491,32 @@ def sweep(builder: str, n: int, criterion: str,
           warm_start: bool = True):
     """Evaluate (and optionally gain-optimize) a criterion over a grid.
 
-    Exactly one of `r_values` (state squeezing sweep) or `eta_values`
+    Exactly one of `r_values` (state squeezing sweep, which builds the
+    preset at each value and takes no `r` or `loss_modes`) or `eta_values`
     (loss sweep at fixed `r`, applying efficiency eta once to each mode in
-    `loss_modes`, 0-based and distinct) must be given.  With `optimize`,
-    each point is gain-optimized; `warm_start` seeds each point with the
-    previous optimum (the first point is solved cold: exactly for the tied
-    structure, by grid and refinement for "epr2"; an exact quadratic solve
-    ignores the seed).
+    `loss_modes`, 0-based and distinct) must be given.  An eta sweep builds
+    its lossless state once and makes one :func:`apply_loss` call per point.
+    With `optimize`, each point is gain-optimized; `warm_start` seeds each
+    point with the previous optimum (the first point is solved cold: exactly
+    for the tied structure, by grid and refinement for "epr2"; an exact
+    quadratic solve ignores the seed).
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")
-    if eta_values is not None and r is None:
-        raise ValueError("eta sweeps need the base squeeze parameter r")
-    if eta_values is not None and not loss_modes:
-        raise ValueError("eta sweeps need at least one loss mode")
-    if len(set(loss_modes)) != len(loss_modes):
-        raise ValueError(f"loss_modes must not repeat a mode, got {tuple(loss_modes)} (0-based)")
-
-    def state_at(value: float) -> State:
-        if r_values is not None:
-            return build_state(builder, n, value)
-        state = build_state(builder, n, r)
-        for mode in loss_modes:
-            state = apply_loss(state, mode, value)
-        return state
+    if r_values is not None:
+        if r is not None or loss_modes:
+            raise ValueError("r sweeps build the state at each value; they take no r or loss_modes")
+        values, state_at = r_values, lambda value: build_state(builder, n, value)
+    else:
+        if r is None:
+            raise ValueError("eta sweeps need the base squeeze parameter r")
+        if not loss_modes:
+            raise ValueError("eta sweeps need at least one loss mode")
+        base = build_state(builder, n, r)
+        values, state_at = eta_values, lambda eta: apply_loss(base, loss_modes, eta)
 
     rows, prev = [], None
-    for value in (r_values if r_values is not None else eta_values):
+    for value in values:
         state = state_at(value)
         if not optimize:
             rows.append(SweepRow(value, gains, witnesses.evaluate(state, criterion, gains)))

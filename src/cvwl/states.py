@@ -236,23 +236,34 @@ def apply_beam_splitter(state: GaussianState, i: int, j: int, reflectivity: floa
     return GaussianState(s @ state.cov @ s.T)
 
 
-def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Attenuation channel a -> sqrt(eta) a + sqrt(1-eta) a_vac on one mode.
+def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: float) -> GaussianState:
+    """Attenuation channel a -> sqrt(eta) a + sqrt(1-eta) a_vac on each of `modes`.
 
-    Cross covariances with other modes scale by sqrt(eta); the mode's own
-    2x2 block becomes eta * block + (1 - eta) * I.
+    `modes` is one 0-based mode index or a sequence of distinct ones.  On
+    each mode, in the given order, cross covariances with other modes scale
+    by sqrt(eta) and the mode's own 2x2 block becomes eta * block +
+    (1 - eta) * I.  All modes are attenuated on one copy of the matrix,
+    which is validated once; the result equals the chain of single-mode
+    calls bit for bit.  Mixtures are rejected.
     """
+    if isinstance(state, MixedState):
+        raise ValueError("loss channels on mixtures are not supported")
     n = state.n_modes
-    if not 0 <= mode < n:
-        raise ValueError(f"mode index {mode} out of range for {n} modes")
+    modes = (modes,) if np.ndim(modes) == 0 else tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"loss modes must not repeat a mode, got {modes} (0-based)")
+    for mode in modes:
+        if not 0 <= mode < n:
+            raise ValueError(f"mode index {mode} out of range for {n} modes")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     cov = np.array(state.cov)
-    idx = [mode, n + mode]
     root = np.sqrt(eta)
-    cov[idx, :] *= root
-    cov[:, idx] *= root
-    cov[np.ix_(idx, idx)] += (1.0 - eta) * np.eye(2)
+    for mode in modes:
+        idx = [mode, n + mode]
+        cov[idx, :] *= root
+        cov[:, idx] *= root
+        cov[np.ix_(idx, idx)] += (1.0 - eta) * np.eye(2)
     return GaussianState(cov)
 
 

@@ -247,6 +247,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert "repeat" in captured.err
 
+    def test_r_sweep_rejects_loss_modes(self, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--criterion", "c3", "--param", "r",
+                     "--values", "0.5", "--loss-modes", "2", "--no-optimize"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "loss_modes" in captured.err
+
+    def test_loss_modes_out_of_range_are_one_based(self, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
+                     "--param", "eta", "--values", "0.5", "--loss-modes", "7",
+                     "--no-optimize"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "loss mode 7 out of range 1..3" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--loss", "1", "0.5"],
+        ["sweep", "--criterion", "c3", "--param", "eta", "--values", "0.5", "--loss-modes", "1",
+         "--no-optimize"],
+    ])
+    def test_loss_on_a_mixture(self, argv, capsys):
+        assert main(argv + ["--state", "counterexample", "--n", "3", "--r", "0.5"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mixtures are not supported" in captured.err
+
     def test_sweep_takes_no_network(self, tmp_path, capsys):
         path = tmp_path / "net.txt"
         path.write_text("input vacuum\n")

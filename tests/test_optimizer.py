@@ -488,6 +488,53 @@ class TestSweep:
         with pytest.raises(ValueError, match="repeat"):
             sweep("ghz", 3, "c3", eta_values=(0.5,), r=1.0, loss_modes=(1, 1), optimize=False)
 
+    @pytest.mark.parametrize("extra", [dict(loss_modes=(1,)), dict(r=1.0)])
+    def test_r_sweep_rejects_loss_arguments(self, extra):
+        with pytest.raises(ValueError, match="r sweeps"):
+            sweep("ghz", 3, "c3", r_values=(0.5,), optimize=False, **extra)
+
+    def test_eta_sweep_builds_its_state_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_state(*args)
+
+        monkeypatch.setattr(cvwl.optimizer, "build_state", counting)
+        sweep("ghz", 4, "c8", eta_values=(0.2, 0.5, 0.9), r=1.0, loss_modes=(3, 1),
+              optimize=False)
+        assert calls == [("ghz", 4, 1.0)]
+        calls.clear()
+        sweep("ghz", 4, "c8", r_values=(0.2, 0.5, 0.9), optimize=False)
+        assert calls == [("ghz", 4, 0.2), ("ghz", 4, 0.5), ("ghz", 4, 0.9)]
+
+    @pytest.mark.parametrize("mode", ["fixed", "cold", "warm"])
+    def test_eta_sweep_equals_a_rebuild_at_every_point(self, mode):
+        # the reference: build the preset and chain one single-mode loss per
+        # lossy mode at every point
+        builder, n, criterion, r, modes = (("epr2", 6, "c8", 1.0, (4, 2)) if mode == "fixed"
+                                           else ("ghz", 3, "c5", 0.8, (2, 0)))
+        gains = GainStructure("tied", n).expand((0.8, -0.4)) if mode == "fixed" else None
+        etas = np.linspace(0.05, 1.0, 20)
+        rows = sweep(builder, n, criterion, eta_values=etas, r=r, loss_modes=modes,
+                     optimize=gains is None, gains=gains, warm_start=mode == "warm")
+        prev = None
+        for eta, row in zip(etas, rows, strict=True):
+            state = build_state(builder, n, r)
+            for m in modes:
+                state = apply_loss(state, m, eta)
+            if gains is None:
+                result = optimize_gains(state, criterion, init=prev)
+                expected_gains, report = result.gains, result.report
+                if mode == "warm":
+                    prev = result.params or None
+            else:
+                expected_gains, report = gains, evaluate(state, criterion, gains)
+            assert row.param == eta
+            assert row.gains == expected_gains
+            assert (row.report.lhs, row.report.ent_bound, row.report.steer_bound) == (
+                report.lhs, report.ent_bound, report.steer_bound)
+
 
 class TestBuildState:
     def test_presets(self):

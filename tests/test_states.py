@@ -178,6 +178,29 @@ class TestLoss:
         with pytest.raises(ValueError):
             apply_loss(vacuum_state(1), 0, 1.2)
 
+    def test_several_modes_equal_the_chain_of_single_mode_calls(self, rng):
+        for _ in range(200):
+            state = random_state(int(rng.integers(1, 6)), rng)
+            n = state.n_modes
+            modes = [int(m) for m in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+            eta = (0.0, 1.0, float(rng.uniform()))[int(rng.integers(3))]
+            chained = state
+            for mode in modes:
+                chained = apply_loss(chained, mode, eta)
+            assert np.array_equal(apply_loss(state, modes, eta).cov, chained.cov)
+
+    def test_invalid_mode_lists(self):
+        with pytest.raises(ValueError, match="repeat"):
+            apply_loss(vacuum_state(3), (1, 2, 1), 0.5)
+        with pytest.raises(ValueError, match="out of range"):
+            apply_loss(vacuum_state(3), (0, 3), 0.5)
+
+    def test_mixture_rejected(self):
+        squeezed = tensor([squeezed_vacuum(SqueezeSpec(1.0)), vacuum_state(1)])
+        mixture = mix([(0.5, vacuum_state(2)), (0.5, squeezed)])
+        with pytest.raises(ValueError, match="mixtures"):
+            apply_loss(mixture, 0, 0.5)
+
 
 class TestQuadratureVariances:
     def test_vacuum_equal_split(self):
