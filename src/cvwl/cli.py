@@ -342,9 +342,12 @@ def _parse_values(text: str):
 def _parse_modes(text: str):
     """--loss-modes: a comma list of 1-based mode indices."""
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        modes = tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad mode list {text!r}: {exc}") from exc
+    if len(set(modes)) != len(modes):
+        raise argparse.ArgumentTypeError(f"loss modes must not repeat a mode, got {text!r}")
+    return modes
 
 
 def cmd_sweep(args) -> int:
@@ -355,9 +358,9 @@ def cmd_sweep(args) -> int:
         objective=args.objective,
     )
     if args.param == "r":
-        kwargs.update(r_values=args.values)
+        kwargs.update(r_values=args.values, r=args.r)
     else:
-        kwargs.update(eta_values=args.values, r=args.r)
+        kwargs.update(eta_values=args.values, r=0.0 if args.r is None else args.r)
     rows = sweep(args.state, args.n,
                  loss_modes=tuple(_loss_mode(m, args.n) for m in args.loss_modes), **kwargs)
     out = [_report_row(row.param, args.criterion, row.gains, row.report, args.n)
@@ -460,7 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", choices=sorted(optimizer.BUILDERS), required=sweep,
                        help="state preset (vacuum, ghz, epr1, epr2, counterexample)")
         p.add_argument("--n", type=int, default=3, help="mode count (default 3)")
-        p.add_argument("--r", type=float, default=0.0, help="squeeze parameter (default 0)")
+        # a sweep hands a given --r to sweep(), which takes none on r sweeps
+        p.add_argument("--r", type=float, default=None if sweep else 0.0,
+                       help="squeeze parameter (default 0" + ("; eta sweeps only)" if sweep else ")"))
         if not sweep:
             p.add_argument("--network", help="path to a network file instead of --state")
             p.add_argument("--loss", nargs=2, action="append", default=[],

@@ -8,14 +8,19 @@ entanglement, and for three modes a hybrid trust model gives the strictly
 smaller steering bound 2 min_i |h_i g_i|.
 
 The minimum is taken over subset sums of the products h_i g_i rather
-than over :class:`Bipartition` objects: N - 1 doubling steps give the sum
-over every subset of modes 1..N-1, indexed by the same bitmask that
-orders :func:`enumerate_bipartitions`.  The objects remain as the
+than over :class:`Bipartition` objects.  Modes 1..N-1 whose products are
+bitwise equal in every row of a batch form a class, and a split's sums
+depend only on how many modes of each class lie on side B, so a class of
+m modes contributes m + 1 counts instead of 2^m subsets: tied gains, with
+products (1, q, ..., q), need N sums per side, and products that are all
+distinct take N - 1 doubling steps whose sums are indexed by the bitmask
+that orders :func:`enumerate_bipartitions`.  The objects remain as the
 reference the tests compare against and for labels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +28,8 @@ import numpy as np
 from .states import GainVector
 
 MAX_MODES = 20
-# subset sums held at once per side; 2 MB of float64, whatever N and the
-# number of rows
+# subset sums held at once per side, 2 MB of float64, unless one row needs
+# more (2^(N-1) sums for all-distinct products at N = 20)
 BLOCK_SUMS = 1 << 18
 
 
@@ -89,31 +94,59 @@ def biseparable_bound(gains: GainVector, partition: Bipartition) -> float:
     return 2.0 * (abs(float(sum_a)) + abs(float(sum_b)))
 
 
-def _split_bounds(products: np.ndarray) -> np.ndarray:
-    """:func:`biseparable_bound` of every canonical bipartition, in
-    enumeration order, for each row of a (B, N) products array; the result
-    is (2^(N-1) - 1, B).
+def _classes(products: np.ndarray):
+    """Columns 1..N-1 of a (B, N) products array grouped by bitwise
+    equality in every row: a (column, multiplicity) pair per class, in order
+    of first occurrence."""
+    classes = {}
+    for k in range(1, products.shape[1]):
+        key = products[:, k].tobytes()
+        first, m = classes.get(key, (k, 0))
+        classes[key] = (first, m + 1)
+    return list(classes.values())
 
-    Side A holds mode 0, so its sums start from p_0 and side B's from 0;
-    both add modes in increasing order, as a direct sum over the side
-    does, and the A side of mask m is the complement mask, reached by
+
+def _split_bounds(products: np.ndarray, classes) -> np.ndarray:
+    """:func:`biseparable_bound` of every distinct split of the classes of
+    modes 1..N-1, for each row of a (B, N) products array; the result is
+    (prod(m + 1) - 1, B), and in enumeration order when every class is one
+    mode.
+
+    A split puts c of a class's m equal products on side B and m - c on
+    side A, and sits at index sum_j c_j S_j, where a class's stride S is
+    the product of m + 1 over the classes before it.  Sums are filled in
+    place: a class writes m blocks of S sums, each the block before it
+    plus the class's product, so a class of one is a doubling step.  Side
+    A holds mode 0, so its sums start from p_0 and side B's from 0; both
+    add one copy at a time, as a direct sum over the side does for tied
+    products, and the A side of a split is its complement, reached by
     reading A's sums backwards.
     """
     p = products.T
-    sums = np.stack((p[0], np.zeros_like(p[0])))[:, None, :]
-    for k in range(1, len(p)):
-        sums = np.concatenate((sums, sums + p[k]), axis=1)
-    return 2.0 * (np.abs(sums[0, -2::-1]) + np.abs(sums[1, 1:]))
+    sums = np.empty((2, math.prod(m + 1 for _, m in classes), p.shape[1]))
+    sums[0, 0], sums[1, 0] = p[0], 0.0
+    stride = 1
+    for k, m in classes:
+        for lo in range(stride, (m + 1) * stride, stride):
+            np.add(sums[:, lo - stride:lo], p[k], out=sums[:, lo:lo + stride])
+        stride *= m + 1
+    np.abs(sums, out=sums)
+    bounds = sums[0, -2::-1] + sums[1, 1:]
+    bounds *= 2.0
+    return bounds
 
 
 def genuine_bounds(products) -> np.ndarray:
     """Genuine-multipartite-entanglement sum bound of each row of a (B, N)
-    array of products h_i g_i, taken in blocks of rows so that the
-    subset sums stay below BLOCK_SUMS per side."""
+    array of products h_i g_i.  Columns of modes 1..N-1 that are bitwise
+    equal in every row form one class (see :func:`_split_bounds`), so tied
+    gains need N sums per side instead of 2^(N-1); rows are taken in
+    blocks so that the sums stay below BLOCK_SUMS per side."""
     products = np.atleast_2d(np.asarray(products, dtype=float))
     _check_modes(products.shape[1])
-    step = max(1, BLOCK_SUMS >> (products.shape[1] - 1))
-    return np.concatenate([_split_bounds(products[lo:lo + step]).min(axis=0)
+    classes = _classes(products)
+    step = max(1, BLOCK_SUMS // math.prod(m + 1 for _, m in classes))
+    return np.concatenate([_split_bounds(products[lo:lo + step], classes).min(axis=0)
                            for lo in range(0, len(products), step)])
 
 
@@ -130,7 +163,8 @@ def genuine_bound(gains: GainVector, n: int | None = None) -> float:
 def binding_partition(gains: GainVector) -> Bipartition:
     """The bipartition achieving :func:`genuine_bound` (first in canonical order)."""
     _check_modes(gains.n_modes)
-    bounds = _split_bounds(gains.products()[None])[:, 0]
+    classes = [(k, 1) for k in range(1, gains.n_modes)]
+    bounds = _split_bounds(gains.products()[None], classes)[:, 0]
     return _from_mask(gains.n_modes, int(np.argmin(bounds)) + 1)
 
 

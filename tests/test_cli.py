@@ -247,6 +247,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert "repeat" in captured.err
 
+    def test_repeated_loss_modes_are_one_based(self, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
+                     "--param", "eta", "--values", "0.5", "--loss-modes", "3,1,3",
+                     "--no-optimize"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'3,1,3'" in captured.err
+        assert "0-based" not in captured.err
+
+    def test_r_sweep_rejects_r(self, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1.5", "--criterion", "c3",
+                     "--param", "r", "--values", "0.5", "--no-optimize"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "take no r" in captured.err
+
+    def test_eta_sweep_without_r_is_lossy_vacuum(self, capsys):
+        # without --r the preset is built at r = 0, the vacuum, which loss leaves
+        # as it is: c3's left-hand side is 4 against a bound of 2
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--criterion", "c3",
+                     "--param", "eta", "--values", "0.5", "--loss-modes", "2",
+                     "--no-optimize"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:4] == ["0.5", "4", "2", "2"]
+
     def test_r_sweep_rejects_loss_modes(self, capsys):
         assert main(["sweep", "--state", "ghz", "--n", "3", "--criterion", "c3", "--param", "r",
                      "--values", "0.5", "--loss-modes", "2", "--no-optimize"]) == EXIT_CONFIG

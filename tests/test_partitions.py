@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cvwl import (
     Bipartition,
+    GainStructure,
     GainVector,
     biseparable_bound,
     enumerate_bipartitions,
@@ -15,6 +16,29 @@ from cvwl import (
     steering_bound,
 )
 from cvwl.partitions import BLOCK_SUMS, binding_partition, genuine_bounds
+
+
+def _doubling_bounds(products):
+    """Every bipartition's sum bound in enumeration order, (2^(N-1) - 1, B),
+    from subset sums built one mode at a time: N - 1 doubling steps, each
+    adding one mode to a copy of every sum so far.  The per-mode reference
+    for the grouped bound."""
+    p = np.atleast_2d(products).T
+    sums = np.stack((p[0], np.zeros_like(p[0])))[:, None, :]
+    for k in range(1, len(p)):
+        sums = np.concatenate((sums, sums + p[k]), axis=1)
+    return 2.0 * (np.abs(sums[0, -2::-1]) + np.abs(sums[1, 1:]))
+
+
+def _tied_rows(n, qs):
+    """Products (1, q, ..., q) of tied gains, one row per q."""
+    products = np.ones((len(qs), n))
+    products[:, 1:] = np.asarray(qs)[:, None]
+    return products
+
+
+# tied products: cancelling, exact and random values, and q = p_0
+TIED_QS = (1.0, -1.0, 0.0, -0.5, 1 / 3, -1 / 3, 0.1, -0.7, -1.3, 2.9, -0.2468, 0.8642)
 
 
 def _sets(parts):
@@ -159,6 +183,56 @@ class TestGenuineBound:
         products = rng.uniform(-2, 2, ((BLOCK_SUMS >> 10) + 3, 12))
         assert np.array_equal(genuine_bounds(products),
                               np.array([genuine_bounds(p)[0] for p in products]))
+
+    @given(n=st.integers(2, 12), rows=st.integers(1, 3), values=st.sampled_from([2, 3, None]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_grouped_bound_matches_enumeration(self, n, rows, values, seed):
+        # `values` columns shared by every row force multiplicities; None
+        # draws every product on its own
+        local = np.random.default_rng(seed)
+        if values is None:
+            products = local.uniform(-2, 2, (rows, n))
+        else:
+            products = local.uniform(-2, 2, (rows, values))[:, local.integers(0, values, n)]
+        parts = enumerate_bipartitions(n)
+        for row, bound in zip(products, genuine_bounds(products)):
+            gains = GainVector(row, np.ones(n))
+            oracle = min(biseparable_bound(gains, p) for p in parts)
+            assert bound == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_tied_rows_equal_the_doubling(self, n):
+        products = _tied_rows(n, TIED_QS)
+        expected = np.array([_doubling_bounds(row).min() for row in products])
+        assert np.array_equal(genuine_bounds(products), expected)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_tied_rows_match_the_closed_form(self, n):
+        # k of the N - 1 tied modes on side B
+        for q, bound in zip(TIED_QS, genuine_bounds(_tied_rows(n, TIED_QS))):
+            closed = 2 * min(abs(1 + (n - 1 - k) * q) + abs(k * q) for k in range(1, n))
+            assert bound == pytest.approx(closed, rel=1e-12, abs=1e-15)
+
+    def test_columns_equal_in_one_row_only(self):
+        # dyadic products sum exactly in any order, so grouping the columns
+        # equal in row 0 alone would show in row 1
+        products = np.array([[1.0, 0.25, 0.25, -0.75, 0.25, -0.75],
+                             [1.0, 0.25, -0.5, -0.75, 0.25, 1.5],
+                             [-0.5, 0.25, 0.25, 0.5, 0.25, -0.75]])
+        expected = np.array([_doubling_bounds(row).min() for row in products])
+        assert np.array_equal(genuine_bounds(products), expected)
+        assert np.array_equal(genuine_bounds(products),
+                              np.array([genuine_bounds(row)[0] for row in products]))
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_epr2_rows_match_the_doubling(self, n, rng):
+        # three product values, 1, h_R g_R and h_L^2, on interleaved modes:
+        # the sums add the same values in another order
+        rows = GainStructure("epr2", n).rows(rng.uniform(-2, 2, (200, 3)))
+        products = rows[:, :n] * rows[:, n:]
+        np.testing.assert_allclose(genuine_bounds(products),
+                                   _doubling_bounds(products).min(axis=0), rtol=1e-14, atol=0)
 
     def test_binding_partition_achieves_bound(self, rng):
         gains = GainVector(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
