@@ -26,8 +26,6 @@ from .states import (
     SqueezeSpec,
     apply_beam_splitter,
     apply_loss,
-    mix,
-    permute_modes,
     quadrature_variances,
     second_moments,
     squeezed_vacuum,
@@ -43,7 +41,6 @@ from .networks import (
     build_epr_type_ii,
     build_ghz,
     execute,
-    two_mode_squeezed,
 )
 from .partitions import (
     Bipartition,
@@ -64,46 +61,3 @@ from .optimizer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "SQUEEZE_P",
-    "SQUEEZE_X",
-    "GainVector",
-    "GaussianState",
-    "MixedState",
-    "PhysicalityError",
-    "SqueezeSpec",
-    "apply_beam_splitter",
-    "apply_loss",
-    "mix",
-    "permute_modes",
-    "quadrature_variances",
-    "second_moments",
-    "squeezed_vacuum",
-    "tensor",
-    "vacuum_state",
-    "BeamSplitter",
-    "LossChannel",
-    "NetworkSpec",
-    "build_counterexample",
-    "build_epr_type_i",
-    "build_epr_type_ii",
-    "build_ghz",
-    "execute",
-    "two_mode_squeezed",
-    "Bipartition",
-    "biseparable_bound",
-    "enumerate_bipartitions",
-    "genuine_bound",
-    "steering_bound",
-    "WitnessReport",
-    "equal_split_gains",
-    "evaluate",
-    "GainStructure",
-    "OptimizationResult",
-    "analytic_gains_epr1",
-    "analytic_gains_ghz",
-    "build_state",
-    "optimize_gains",
-    "sweep",
-]

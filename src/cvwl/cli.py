@@ -150,23 +150,6 @@ def parse_network(text: str) -> NetworkSpec:
     return NetworkSpec(tuple(inputs), tuple(ops))
 
 
-def format_network(spec: NetworkSpec) -> str:
-    """Serialize a NetworkSpec back to the line-oriented format (round-trips
-    through :func:`parse_network`)."""
-    lines = []
-    for inp in spec.inputs:
-        if inp is None:
-            lines.append("input vacuum")
-        else:
-            lines.append(f"input squeeze {inp.orientation} {inp.r!r}")
-    for op in spec.ops:
-        if isinstance(op, BeamSplitter):
-            lines.append(f"bs {op.i + 1} {op.j + 1} {op.reflectivity!r}")
-        else:
-            lines.append(f"loss {op.mode + 1} {op.eta!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""

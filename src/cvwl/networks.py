@@ -22,7 +22,6 @@ from .states import (
     SqueezeSpec,
     apply_beam_splitter,
     apply_loss,
-    mix,
     squeezed_vacuum,
     tensor,
     vacuum_state,
@@ -193,18 +192,9 @@ def build_epr_type_ii(n: int, r: float) -> GaussianState:
     return execute(epr_type_ii_network(n, r))
 
 
-def two_mode_squeezed(r: float) -> GaussianState:
-    """Two-mode squeezed vacuum with Var(x_0 - x_1) = Var(p_0 + p_1) = 2 exp(-2r)."""
-    return execute(
-        NetworkSpec(
-            (SqueezeSpec(r, SQUEEZE_P), SqueezeSpec(r, SQUEEZE_X)),
-            (BeamSplitter(0, 1, 0.5),),
-        )
-    )
-
-
 def build_counterexample(r: float, lone_orientation: str = SQUEEZE_P) -> MixedState:
-    """Equal mixture of two biseparable three-mode components.
+    """Equal mixture of two biseparable three-mode components, as a
+    :class:`MixedState` of weights 1/2.
 
     Component one entangles modes (0, 1) in a two-mode squeezed state and
     leaves mode 2 in a single-mode squeezed vacuum; component two entangles
@@ -231,4 +221,4 @@ def build_counterexample(r: float, lone_orientation: str = SQUEEZE_P) -> MixedSt
     pair = (SqueezeSpec(r, SQUEEZE_P), SqueezeSpec(r, SQUEEZE_X))
     comp_12 = execute(NetworkSpec((pair[0], pair[1], lone), (BeamSplitter(0, 1, 0.5),)))
     comp_23 = execute(NetworkSpec((lone, pair[0], pair[1]), (BeamSplitter(1, 2, 0.5),)))
-    return mix([(0.5, comp_12), (0.5, comp_23)])
+    return MixedState([(0.5, comp_12), (0.5, comp_23)])

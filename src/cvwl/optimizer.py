@@ -23,12 +23,14 @@ and c10, and "lhs" on c5, c6 and c8.
 Exact tied ratio solve: with the "tied" structure the left-hand side of
 c5, c6 and c8 is built from A(h) = Var u and B(g) = Var v, two 1-D
 quadratics read off three evaluator probes, and the bound depends only on
-q = gh, piecewise affine in q.  On each affine piece alpha + beta q the
+q = gh, piecewise affine in q.  For each affine piece alpha + beta q the
 stationary points of the ratio are roots of a cubic (sum) or a quadratic
-(product), on each kink curve gh = q0 those of a quartic, and q = 0 is
-the two axes (fractional programming: Dinkelbach, Management Science 13,
-492, 1967).  Every such candidate is scored with the batched objective
-and the least kept.
+(product) (fractional programming: Dinkelbach, Management Science 13,
+492, 1967).  The entanglement bound is the greatest of three pieces, so
+it is convex and its ratio minimum is one of these points; the steering
+bound 2 min(1, |q|) is concave, and the minima on its kink curves
+gh = +-1, roots of a quartic, join the candidates.  Every candidate is
+scored with the batched objective and the least kept.
 
 Search: the ratio objectives of the 3-parameter "epr2" structure run a
 vectorized coarse grid over [-2, 2] per free parameter (step 0.05)
@@ -266,17 +268,21 @@ def _objective(state: State, criterion: str, structure: GainStructure, objective
 
 def _tied_pieces(n: int, objective: str):
     """The affine functions alpha + beta q of q = gh that make up the sum
-    bound of the tied gains, as arrays alpha and beta, and every q != 0
-    where two of them cross, which includes the bound's kinks."""
-    if objective == "steering":  # 2 min(1, |q|) at three modes
-        pieces = {(2.0, 0.0), (0.0, 2.0), (0.0, -2.0)}
-    else:  # 2 min over k = 1..n-1 of |1 + (n-1-k) q| + |k q|, the two side sums
-        pieces = {(2.0 * s, 2.0 * (s * (n - 1 - k) + t * k))
-                  for k in range(1, n) for s in (1, -1) for t in (1, -1)}
-    alpha, beta = np.array(sorted(pieces)).T
-    i, j = np.nonzero(beta[:, None] != beta[None, :])
-    kinks = (alpha[j] - alpha[i]) / (beta[i] - beta[j])
-    return alpha, beta, np.unique(kinks[kinks != 0.0])
+    bound of the tied gains, as arrays alpha and beta, and the q at which a
+    ratio minimum may sit on a kink of the bound.
+
+    Products (1, q, ..., q) give the entanglement bound
+    2 max(1 + (n-1) q, 1 + (n-3) q, -1 - (n-1) q): 2 (1 + (n-1) q) for
+    q >= 0, and for q < 0 the larger of the other two, which cross at
+    q = -1/(n-2).  The bound is convex, so the ratio lhs / bound is the
+    least of the ratios to its positive pieces, and its minimum is a
+    stationary point of one of them: no kink is a candidate.  The steering
+    bound 2 min(1, |q|) is concave, so its kinks at |q| = 1 are.
+    """
+    if objective == "steering":
+        return np.array([2.0, 0.0, 0.0]), np.array([0.0, 2.0, -2.0]), np.array([-1.0, 1.0])
+    return (np.array([2.0, 2.0, -2.0]), 2.0 * np.array([n - 1.0, n - 3.0, 1.0 - n]),
+            np.empty(0))
 
 
 def _real_roots(coeffs) -> np.ndarray:
@@ -291,11 +297,12 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
 
     lhs is A(h) + B(g) or sqrt(A(h) B(g)), with A(h) = a0 + 2 a1 h + a2 h^2
     and B(g) = b0 + 2 b1 g + b2 g^2 read off the probes (g, h) = 0, 1, -1.
-    The candidates are the unconstrained minimum of lhs, its minima on the
-    two axes (q = 0), the stationary points of lhs / (alpha + beta q) on
-    every affine piece of the bound, and the minima of lhs on every curve
-    gh = q0 at which pieces cross.  Where the minimum is attained, it is
-    at one of them; a singular solve gives a non-finite candidate.
+    The candidates are the unconstrained minimum of lhs, the stationary
+    points of lhs / (alpha + beta q) for every affine piece of the bound,
+    and the minima of lhs on every curve gh = q0 of a kink that
+    :func:`_tied_pieces` lists (steering only).  Where the minimum is
+    attained, it is at one of them; a singular solve gives a non-finite
+    candidate.
     """
     var_u, var_v = terms(structure.rows(np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])))[:2]
     coeffs = np.array([[v[0], (v[1] - v[2]) / 4.0, (v[1] + v[2]) / 2.0 - v[0]]
@@ -303,7 +310,7 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
     # the candidates do not change when lhs is scaled; scaling keeps the
     # products of coefficients below from overflowing at large r
     (a0, a1, a2), (b0, b1, b2) = coeffs / np.max(np.abs(coeffs))
-    points = [(-b1 / b2, -a1 / a2), (0.0, -a1 / a2), (-b1 / b2, 0.0)]
+    points = [(-b1 / b2, -a1 / a2)]
     alpha, beta, kinks = _tied_pieces(structure.n_modes, objective)
     for al, be in zip(alpha, beta):
         if be == 0.0:  # a constant piece: the unconstrained minimum
@@ -380,7 +387,8 @@ def optimize_gains(state: State, criterion: str,
     stationary candidates and keeps the least, with no refinement; one of
     the "epr2" structure runs a vectorized grid over [-2, 2]^3 followed by
     Nelder-Mead refinement from the best cell.  A warm start refines from
-    `init` only.  Deterministic either way.
+    `init` only.  Deterministic either way.  A non-finite `init`, or a warm
+    start at which the objective is not finite, raises ValueError.
     """
     if objective not in ("entanglement", "steering", "lhs"):
         raise ValueError(
@@ -388,9 +396,9 @@ def optimize_gains(state: State, criterion: str,
     cid = str(criterion).strip().lower()
     structure = structure or default_structure(cid, state.n_modes)
     k = structure.n_params
+    if init is not None and (np.shape(init) != (k,) or not np.all(np.isfinite(init))):
+        raise ValueError(f"init must supply {k} finite values for {structure.param_names}")
     batch = _objective(state, cid, structure, objective)
-    if init is not None and np.shape(init) != (k,):
-        raise ValueError(f"init must supply {k} values for {structure.param_names}")
 
     def ratio_at(params) -> float:
         return float(batch(np.atleast_2d(params))[0])
@@ -410,7 +418,10 @@ def optimize_gains(state: State, criterion: str,
     else:
         if init is not None:
             best = np.asarray(init, dtype=float)
-            best_ratio = ratio_at(best)
+            with np.errstate(over="ignore", invalid="ignore"):  # huge gains overflow
+                best_ratio = ratio_at(best)
+            if not math.isfinite(best_ratio):
+                raise ValueError(f"the {objective} objective is not finite at init {tuple(init)}")
         else:
             axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
             pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")],

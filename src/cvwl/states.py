@@ -136,8 +136,9 @@ class GaussianState:
 class MixedState:
     """Convex combination of equal-size zero-mean Gaussian states.
 
-    Weights are strictly positive and sum to one (within 1e-12).  Use
-    :func:`mix` to build one with tolerant weight normalization.
+    Weights must be positive and sum to one within 1e-9; they are stored
+    divided by their sum.  A single-component "mixture" behaves identically
+    to its Gaussian state in every variance computation.
     """
 
     __slots__ = ("_components",)
@@ -149,15 +150,15 @@ class MixedState:
         for w, s in components:
             if not isinstance(s, GaussianState):
                 raise TypeError(f"mixture components must be GaussianState, got {type(s)}")
-            if not 0.0 < w <= 1.0:
-                raise ValueError(f"weights must lie in (0, 1], got {w}")
+            if not w > 0.0:
+                raise ValueError(f"mixture weights must be positive, got {w}")
         total = sum(w for w, _ in components)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"mixture weights must sum to 1 within 1e-9, got {total!r}")
         n = components[0][1].n_modes
         if any(s.n_modes != n for _, s in components):
             raise ValueError("all mixture components must have the same mode count")
-        self._components = components
+        self._components = tuple((w / total, s) for w, s in components)
 
     @property
     def components(self):
@@ -265,32 +266,6 @@ def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: floa
         cov[:, idx] *= root
         cov[np.ix_(idx, idx)] += (1.0 - eta) * np.eye(2)
     return GaussianState(cov)
-
-
-def permute_modes(state: GaussianState, order: Sequence[int]) -> GaussianState:
-    """Relabel modes so that new mode k is old mode order[k]."""
-    n = state.n_modes
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
-    idx = list(order) + [n + m for m in order]
-    return GaussianState(state.cov[np.ix_(idx, idx)])
-
-
-def mix(components) -> MixedState:
-    """Build a mixture, rescaling weights that sum to 1 within 1e-9.
-
-    A single-component "mixture" behaves identically to its Gaussian state
-    in every variance computation.
-    """
-    components = [(float(w), s) for w, s in components]
-    if not components:
-        raise ValueError("a mixture needs at least one component")
-    if any(w <= 0 for w, _ in components):
-        raise ValueError("mixture weights must be positive")
-    total = sum(w for w, _ in components)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"mixture weights must sum to 1 within 1e-9, got {total!r}")
-    return MixedState([(w / total, s) for w, s in components])
 
 
 def second_moments(state: State) -> np.ndarray:

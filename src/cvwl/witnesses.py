@@ -269,16 +269,21 @@ def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
     `gains` is criterion-specific: a GainVector for c5/c6/c8 (defaulting to
     :func:`equal_split_gains`), (g1, g2, g3) for the three-mode forms and
     c1/c2, (g1..g4) for c9, (g1, g4) for c10, and ignored for c3/c4/c7.
-    Unsupplied scalar gains default to zero.
+    Unsupplied scalar gains default to zero.  Gains so large that the
+    left-hand side or the bound is not finite are rejected.
     """
     crit = lookup(criterion)
     n = state.n_modes
     rows = crit.gain_row(gains, n)[None]
-    var_u, var_v, terms, lhs = batch_terms(crit, second_moments(state))(rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge gains overflow: rejected below
+        var_u, var_v, terms, lhs = batch_terms(crit, second_moments(state))(rows)
+        bound, steer = batch_bound(crit, rows, n), batch_bound(crit, rows, n, "steering")
+    lhs, bound = float(lhs[0]), float(bound[0])
+    if not (math.isfinite(lhs) and math.isfinite(bound)):
+        raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {lhs}, bound {bound})")
     if terms.shape[1] == 1:
         details = {"var_u": float(var_u[0, 0]), "var_v": float(var_v[0, 0])}
     else:
         details = {name: float(t) for (name, _, _), t in zip(crit.forms, terms[0])}
-    steer = batch_bound(crit, rows, n, "steering")
-    return WitnessReport(crit.report_id, float(lhs[0]), float(batch_bound(crit, rows, n)[0]),
-                         None if steer is None else float(steer[0]), details)
+    return WitnessReport(crit.report_id, lhs, bound, None if steer is None else float(steer[0]),
+                         details)

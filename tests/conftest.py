@@ -2,15 +2,24 @@ import numpy as np
 import pytest
 
 from cvwl import (
+    GaussianState,
+    MixedState,
     SqueezeSpec,
     apply_beam_splitter,
     apply_loss,
     enumerate_bipartitions,
-    mix,
-    permute_modes,
     squeezed_vacuum,
     tensor,
 )
+
+
+def permute_modes(state, order):
+    """Relabel modes so that new mode k is old mode order[k]."""
+    n = state.n_modes
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
+    idx = list(order) + [n + m for m in order]
+    return GaussianState(state.cov[np.ix_(idx, idx)])
 
 
 def random_pure_state(n, rng, r_max=2.0, n_splitters=None):
@@ -54,7 +63,7 @@ def random_biseparable_mixture(n, rng, max_components=4, r_max=2.0):
         ])
         layout = group_a + group_b
         components.append((float(w), permute_modes(joint, [layout.index(m) for m in range(n)])))
-    return mix(components)
+    return MixedState(components)
 
 
 @pytest.fixture

@@ -11,11 +11,10 @@ from cvwl.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     NetworkParseError,
-    format_network,
     main,
     parse_network,
 )
-from cvwl.networks import LossChannel, ghz_network
+from cvwl.networks import BeamSplitter, LossChannel, ghz_network
 from cvwl import GainVector, build_ghz, execute, quadrature_variances
 
 GHZ_FILE = """\
@@ -26,6 +25,23 @@ input squeeze x 1.0
 bs 1 2 0.333333333333333
 bs 2 3 0.5
 """
+
+
+def format_network(spec):
+    """Serialize a NetworkSpec to the network file format, which
+    :func:`parse_network` reads back."""
+    lines = []
+    for inp in spec.inputs:
+        if inp is None:
+            lines.append("input vacuum")
+        else:
+            lines.append(f"input squeeze {inp.orientation} {inp.r!r}")
+    for op in spec.ops:
+        if isinstance(op, BeamSplitter):
+            lines.append(f"bs {op.i + 1} {op.j + 1} {op.reflectivity!r}")
+        else:
+            lines.append(f"loss {op.mode + 1} {op.eta!r}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParseNetwork:
@@ -205,6 +221,19 @@ class TestExitCodes:
         assert main(["witness", "--state", "ghz", "--n", "3", "--r", "1",
                      "--criterion", criterion, "--gains", gains]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command,criterion,gains", [
+        ("optimize", "c1", "1,nan,0"),
+        ("optimize", "c5", "1,inf"),
+        ("witness", "c5", "1e300,1e300"),
+        ("optimize", "c5", "1e300,1e300"),
+    ])
+    def test_non_finite_or_overflowing_gains_exit_2(self, command, criterion, gains, capsys):
+        assert main([command, "--state", "ghz", "--n", "3", "--r", "1",
+                     "--criterion", criterion, "--gains", gains]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "finite" in err and "Warning" not in err
 
     def test_non_finite_r_is_a_configuration_error(self, capsys):
         assert main(["witness", "--state", "ghz", "--n", "3", "--r", "nan",

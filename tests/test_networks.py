@@ -15,12 +15,11 @@ from cvwl import (
     equal_split_gains,
     evaluate,
     execute,
-    permute_modes,
     quadrature_variances,
     second_moments,
-    two_mode_squeezed,
 )
 from cvwl.networks import LossChannel, epr_type_ii_network, ghz_network, right_left_groups
+from conftest import permute_modes
 
 R_VALUES = (0.0, 0.3, 1.0, 2.0)
 
@@ -166,6 +165,12 @@ class TestEPRTypeII:
     def test_too_few_modes(self):
         with pytest.raises(ValueError):
             build_epr_type_ii(2, 1.0)
+
+
+def two_mode_squeezed(r):
+    """Two-mode squeezed vacuum with Var(x_0 - x_1) = Var(p_0 + p_1) = 2 exp(-2r)."""
+    return execute(NetworkSpec((SqueezeSpec(r, "p"), SqueezeSpec(r, "x")),
+                               (BeamSplitter(0, 1, 0.5),)))
 
 
 class TestTwoModeSqueezed:

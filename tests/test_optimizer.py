@@ -27,6 +27,7 @@ from cvwl import (
 import cvwl.optimizer
 from cvwl.cli import R_GRID
 from cvwl.optimizer import _objective, _tied_pieces, default_structure
+from cvwl.partitions import MAX_MODES
 from cvwl.witnesses import TABLE, VECTOR, batch_bound, lookup
 from conftest import random_state
 
@@ -331,25 +332,32 @@ class TestExactSolve:
             assert exact.ratio <= restart.fun * (1 + 1e-12)
 
     def test_tied_bound_pieces_describe_the_bound(self, rng):
-        # the bound at q = gh is one of the pieces, and affine between
-        # consecutive kinks (and 0)
-        for n in range(3, 10):
-            for objective in ("entanglement", "steering") if n == 3 else ("entanglement",):
-                alpha, beta, kinks = _tied_pieces(n, objective)
-                ends = np.unique(np.concatenate(([-50.0, 0.0, 50.0], kinks)))
-                lo, hi = ends[:-1], ends[1:]
-                t = rng.uniform(0.0, 1.0, (len(lo), 8))
-                q = np.concatenate((kinks, (lo[:, None] + t * (hi - lo)[:, None]).ravel()))
-                rows = GainStructure("tied", n).rows(np.stack((q, np.ones_like(q)), axis=1))
-                bound = batch_bound(lookup("c8"), rows, n, objective)
-                pieces = alpha[None] + beta[None] * q[:, None]
-                assert np.min(np.abs(pieces - bound[:, None]), axis=1) == pytest.approx(
-                    0.0, abs=1e-12 * np.max(bound))
-                for a, b in zip(lo, hi):
-                    x = np.array([a + (b - a) / 4, (a + b) / 2, b - (b - a) / 4])
-                    y = batch_bound(lookup("c8"), GainStructure("tied", n).rows(
-                        np.stack((x, np.ones(3)), axis=1)), n, objective)
-                    assert y[1] == pytest.approx((y[0] + y[2]) / 2, rel=1e-12)
+        # the tied entanglement bound has the closed form below, the
+        # greatest of the pieces, so it is convex in q = gh and no kink is a
+        # candidate; it is checked at random q and at its kink -1/(n - 2)
+        # and either side of it, where the two negative-q pieces cross
+        c8 = lookup("c8")
+        for n in range(2, MAX_MODES + 1):
+            q = rng.uniform(-5.0, 5.0, 64)
+            if n >= 3:
+                kink = -1.0 / (n - 2)
+                q = np.concatenate((q, kink * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6])))
+            rows = GainStructure("tied", n).rows(np.stack((q, np.ones_like(q)), axis=1))
+            closed = np.where(q >= 0.0, 2.0 * (1.0 + (n - 1) * q),
+                              2.0 * np.maximum(1.0 + (n - 3) * q, -1.0 - (n - 1) * q))
+            assert batch_bound(c8, rows, n) == pytest.approx(closed, rel=1e-12)
+            alpha, beta, kinks = _tied_pieces(n, "entanglement")
+            assert np.max(alpha + beta * q[:, None], axis=1) == pytest.approx(closed, rel=1e-12)
+            assert kinks.size == 0
+        # the steering bound 2 min(1, |q|) is concave: its kinks stay candidates
+        alpha, beta, kinks = _tied_pieces(3, "steering")
+        assert kinks.tolist() == [-1.0, 1.0]
+        q = np.concatenate((rng.uniform(-5.0, 5.0, 64), kinks))
+        rows = GainStructure("tied", 3).rows(np.stack((q, np.ones_like(q)), axis=1))
+        bound = batch_bound(c8, rows, 3, "steering")
+        assert bound == pytest.approx(2.0 * np.minimum(1.0, np.abs(q)), rel=1e-12)
+        assert np.min(np.abs(alpha + beta * q[:, None] - bound[:, None]), axis=1) == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_tied_c8_finds_the_optimum_outside_the_old_box(self):
         result = optimize_gains(build_epr_type_ii(6, 0.25), "c8")
@@ -396,6 +404,14 @@ class TestExactSolve:
         ("c1", {"init": (0.5,)}, "init must supply"),
         ("c3", {"init": (1.0, 2.0)}, "init must supply"),
         ("c9", {"objective": "steering"}, "no steering bound"),
+        # a non-finite init is rejected on the exact and the refining paths
+        ("c1", {"init": (1.0, math.nan, 0.0)}, "finite values"),
+        ("c5", {"init": (1.0, math.inf)}, "finite values"),
+        ("c5", {"init": (1.0, math.nan), "objective": "lhs"}, "finite values"),
+        # a warm start whose objective overflows, or sits on a zero bound
+        ("c5", {"init": (1e300, 1e300)}, "objective is not finite"),
+        ("c6", {"init": (1e200, 1e-200)}, "objective is not finite"),
+        ("c5", {"init": (0.0, 0.0), "objective": "steering"}, "objective is not finite"),
     ])
     def test_errors_still_raise(self, cid, kwargs, match):
         n = 4 if cid == "c9" else 3

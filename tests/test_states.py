@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 from cvwl import (
     GainVector,
     GaussianState,
+    MixedState,
     PhysicalityError,
     SqueezeSpec,
     apply_beam_splitter,
     apply_loss,
-    mix,
-    permute_modes,
     quadrature_variances,
     second_moments,
     squeezed_vacuum,
     tensor,
     vacuum_state,
 )
-from conftest import random_pure_state, random_state
+from conftest import permute_modes, random_pure_state, random_state
 
 
 class TestVacuum:
@@ -197,7 +196,7 @@ class TestLoss:
 
     def test_mixture_rejected(self):
         squeezed = tensor([squeezed_vacuum(SqueezeSpec(1.0)), vacuum_state(1)])
-        mixture = mix([(0.5, vacuum_state(2)), (0.5, squeezed)])
+        mixture = MixedState([(0.5, vacuum_state(2)), (0.5, squeezed)])
         with pytest.raises(ValueError, match="mixtures"):
             apply_loss(mixture, 0, 0.5)
 
@@ -241,13 +240,13 @@ class TestQuadratureVariances:
 class TestMixtures:
     def test_single_component_matches_state(self, rng):
         state = random_pure_state(2, rng)
-        mixture = mix([(1.0, state)])
+        mixture = MixedState([(1.0, state)])
         gains = GainVector((1, -1), (1, 1))
         assert quadrature_variances(mixture, gains) == quadrature_variances(state, gains)
 
     def test_equal_mix_of_identical_states(self, rng):
         state = random_pure_state(2, rng)
-        mixture = mix([(0.5, state), (0.5, state)])
+        mixture = MixedState([(0.5, state), (0.5, state)])
         assert np.allclose(second_moments(mixture), state.cov)
 
     def test_variance_is_weighted_average_and_above_minimum(self, rng):
@@ -255,7 +254,7 @@ class TestMixtures:
             a = random_state(3, rng)
             b = random_state(3, rng)
             w = float(rng.uniform(0.05, 0.95))
-            mixture = mix([(w, a), (1 - w, b)])
+            mixture = MixedState([(w, a), (1 - w, b)])
             gains = GainVector(rng.normal(size=3), rng.normal(size=3))
             vu, vv = quadrature_variances(mixture, gains)
             vua, vva = quadrature_variances(a, gains)
@@ -266,18 +265,18 @@ class TestMixtures:
 
     def test_weight_sum_tolerance(self, rng):
         state = random_pure_state(1, rng)
-        mixture = mix([(0.5 + 4e-10, state), (0.5, state)])
+        mixture = MixedState([(0.5 + 4e-10, state), (0.5, state)])
         assert sum(w for w, _ in mixture.components) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError):
-            mix([(0.6, state), (0.5, state)])
+            MixedState([(0.6, state), (0.5, state)])
 
     def test_mode_count_mismatch(self, rng):
         with pytest.raises(ValueError):
-            mix([(0.5, vacuum_state(1)), (0.5, vacuum_state(2))])
+            MixedState([(0.5, vacuum_state(1)), (0.5, vacuum_state(2))])
 
     def test_nonpositive_weight(self):
         with pytest.raises(ValueError):
-            mix([(0.0, vacuum_state(1)), (1.0, vacuum_state(1))])
+            MixedState([(0.0, vacuum_state(1)), (1.0, vacuum_state(1))])
 
 
 class TestValidationAndImmutability:
@@ -307,6 +306,21 @@ class TestValidationAndImmutability:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             GaussianState(np.eye(3))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           r_max=st.floats(0.0, 3.0), lossy=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random_physical_states_are_accepted(self, seed, n, r_max, lossy):
+        # squeezers, a passive network and loss only ever give physical
+        # states, so validation must never reject one
+        rng = np.random.default_rng(seed)
+        state = random_pure_state(n, rng, r_max=r_max)
+        if lossy:
+            modes = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            state = apply_loss(state, [int(m) for m in modes], float(rng.uniform()))
+        cov = state.cov
+        det = np.diag(cov)[:n] * np.diag(cov)[n:] - np.diag(cov[:n, n:]) ** 2
+        assert np.all(det >= 1.0 - 1e-9)
 
 
 def test_permute_modes_roundtrip(rng):

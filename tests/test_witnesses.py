@@ -339,3 +339,13 @@ class TestDispatcher:
     def test_c10_gain_count(self):
         with pytest.raises(ValueError):
             evaluate(vacuum_state(4), "c10", (1, 2, 3))
+
+    @pytest.mark.parametrize("cid,gains", [
+        ("c5", GainVector((1.0, 1e300, 1e300), (1.0, 1e300, 1e300))),
+        ("c5", GainVector((1.0, 1e200, 1e200), (1.0, 1e-200, 1e-200))),
+        ("c1", (0.0, 0.0, 1e300)),
+    ])
+    def test_overflowing_gains_rejected(self, cid, gains):
+        # finite gains whose left-hand side or bound overflows
+        with pytest.raises(ValueError, match="not finite"):
+            evaluate(build_ghz(3, 1.0), cid, gains)
