@@ -37,8 +37,8 @@ vectorized coarse grid over [-2, 2] per free parameter (step 0.05)
 followed by Nelder-Mead refinement; the grid does not bracket every
 optimum.  Passing an explicit ``init`` to a c5/c6/c8 ratio objective
 skips the grid or the tied solve (warm start) and refines from there.
-``scipy.optimize`` is imported on the first refinement, not with the
-package.
+The refinement is :func:`_nelder_mead`, a numpy transcription of SciPy's
+Nelder-Mead that gives bitwise the same steps, so no command loads SciPy.
 """
 
 from __future__ import annotations
@@ -61,13 +61,82 @@ GRID_CHUNK = 1 << 14
 RATIO_TOL = 1e-8
 
 
-def _scipy_minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: only the
-    Nelder-Mead refinement needs scipy, and its import takes most of the
-    package's start-up time."""
-    from scipy.optimize import minimize
+class _MaxFev(Exception):
+    """The evaluation budget of :func:`_nelder_mead` is spent."""
 
-    return minimize(*args, **kwargs)
+
+def _nelder_mead(fun, simplex, xatol: float, fatol: float, maxiter: int, maxfev: int):
+    """Minimize `fun` by Nelder-Mead (Comput. J. 7, 308, 1965) from an
+    initial (k + 1, k) simplex; returns (x, fun, iterations, converged).
+
+    This is SciPy's ``minimize(method="Nelder-Mead")`` without bounds or
+    adaptive coefficients, operation for operation, so results are bitwise
+    equal: reflection 1, expansion 2, contraction and shrink 1/2; the
+    simplex re-sorted by ``argsort`` after every iteration; the loop ends
+    once every vertex is within `xatol` of the best one and every value
+    within `fatol` of its value.  As there, `iterations` starts at 1, an
+    iteration cut short by the `maxfev` budget keeps the steps it took, and
+    reaching either limit means not converged.
+    """
+    sim = np.array(simplex, dtype=float)
+    k = sim.shape[1]
+    fsim = np.full(k + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _MaxFev
+        calls += 1
+        return fun(x)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for j in range(k + 1):
+            fsim[j] = f(sim[j])
+    except _MaxFev:
+        pass
+    # sorted twice, as SciPy does: argsort need not keep tied values in place
+    sim, fsim = ordered(sim, fsim)
+    sim, fsim = ordered(sim, fsim)
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / k
+            xr = 2.0 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3.0 * xbar - 2.0 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, k + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _MaxFev:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], float(np.min(fsim)), iterations, calls < maxfev and iterations < maxiter
 
 
 def analytic_gains_ghz(n: int, r: float):
@@ -433,14 +502,10 @@ def optimize_gains(state: State, criterion: str,
         simplex = np.tile(np.asarray(best, dtype=float), (k + 1, 1))
         for axis_idx in range(k):
             simplex[axis_idx + 1, axis_idx] += 0.1
-        res = _scipy_minimize(
-            ratio_at, best, method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": RATIO_TOL, "maxiter": 2000,
-                     "maxfev": 4000, "initial_simplex": simplex},
-        )
-        if np.isfinite(res.fun) and res.fun <= best_ratio:
-            best, best_ratio = res.x, float(res.fun)
-        iterations, converged = int(res.nit), bool(res.success)
+        x, fun, iterations, converged = _nelder_mead(
+            ratio_at, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
+        if np.isfinite(fun) and fun <= best_ratio:
+            best, best_ratio = x, fun
 
     best = tuple(float(v) for v in np.atleast_1d(best))
     gains = structure.expand(best)

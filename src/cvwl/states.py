@@ -105,8 +105,9 @@ class GaussianState:
             raise PhysicalityError("covariance matrix is not symmetric")
         cov = (cov + cov.T) / 2.0
         n = cov.shape[0] // 2
+        # eigvalsh rounds at about eps times the largest entry
         eigs = np.linalg.eigvalsh(cov)
-        if eigs[0] < -PHYSICALITY_TOL:
+        if eigs[0] < -PHYSICALITY_TOL * scale:
             raise PhysicalityError(
                 f"covariance matrix is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
             )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import minimize
 
 from cvwl import (
     GainStructure,
@@ -159,10 +159,10 @@ class TestOptimizeGains:
             optimize_gains(vacuum_state(3), "c5", objective="magic")
 
     def test_converged_reports_nelder_mead_failure(self, monkeypatch):
-        def fail(fun, x0, **kwargs):
-            return OptimizeResult(x=np.asarray(x0), fun=fun(x0), success=False, nit=7)
+        def fail(fun, simplex, **kwargs):
+            return simplex[0], fun(simplex[0]), 7, False
 
-        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", fail)
+        monkeypatch.setattr(cvwl.optimizer, "_nelder_mead", fail)
         result = optimize_gains(build_ghz(3, 1.0), "c5", init=(0.9, -0.45))
         assert result.converged is False
         assert result.iterations == 7
@@ -175,13 +175,15 @@ class TestOptimizeGains:
 
     def test_iterations_count_nelder_mead_only(self, monkeypatch):
         seen = []
+        nelder_mead = cvwl.optimizer._nelder_mead
 
-        def spy(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            seen.append(res.nit)
-            return res
+        def spy(fun, simplex, xatol, fatol, maxiter, maxfev):
+            seen.append(minimize(fun, simplex[0], method="Nelder-Mead", options={
+                "xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev,
+                "initial_simplex": simplex}).nit)
+            return nelder_mead(fun, simplex, xatol, fatol, maxiter, maxfev)
 
-        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", spy)
+        monkeypatch.setattr(cvwl.optimizer, "_nelder_mead", spy)
         result = optimize_gains(build_epr_type_ii(4, 1.0), "c8",  # cold: grid, then refine
                                 structure=GainStructure("epr2", 4))
         assert seen and result.iterations == seen[0]
@@ -193,6 +195,103 @@ class TestOptimizeGains:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
         assert out.strip() == "[]"
+
+    def test_refining_commands_run_with_scipy_blocked(self):
+        # a warm eta sweep, a warm start and an epr2 grid search each refine
+        src = Path(cvwl.optimizer.__file__).resolve().parents[1]
+        runs = [
+            ["sweep", "--state", "ghz", "--n", "3", "--r", "0.8", "--criterion", "c5",
+             "--param", "eta", "--values", "1,0.9,0.8", "--loss-modes", "1"],
+            ["optimize", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c5",
+             "--gains", "0.9,-0.45"],
+            ["optimize", "--state", "epr2", "--n", "4", "--r", "1", "--criterion", "c8",
+             "--structure", "epr2"],
+        ]
+        code = ("import contextlib, io, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import cvwl.cli, cvwl.optimizer\n"
+                "calls, nelder_mead = [], cvwl.optimizer._nelder_mead\n"
+                "cvwl.optimizer._nelder_mead = lambda *a, **k: calls.append(1) or nelder_mead(*a, **k)\n"
+                f"for argv in {runs!r}:\n"
+                "    before = len(calls)\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = cvwl.cli.main(argv)\n"
+                "    print(code, len(calls) - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.split("\n")[:-1] == ["0 2", "0 1", "0 1"]
+
+
+def _scipy_nelder_mead(fun, simplex, xatol, fatol, maxiter, maxfev):
+    res = minimize(fun, simplex[0], method="Nelder-Mead", options={
+        "xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev,
+        "initial_simplex": simplex})
+    return res.x, res.fun, res.nit, res.success, res.status
+
+
+def _nelder_mead_objectives(rng):
+    """(k, fun) pairs: the tied and epr2 ratio objectives on random states,
+    a 1-parameter slice of the epr2 one, quadratics, and flat or stepped
+    functions whose simplex values tie."""
+    for n in (3, 4):
+        state = random_state(n, rng)
+        cases = [("c8", "tied", "entanglement"), ("c8", "epr2", "entanglement")]
+        if n == 3:
+            cases += [(cid, "tied", objective) for cid in ("c5", "c6")
+                      for objective in ("entanglement", "steering")]
+        for cid, kind, objective in cases:
+            batch = _objective(state, cid, GainStructure(kind, n), objective)
+            yield GainStructure(kind, n).n_params, lambda p, b=batch: float(b(p[None])[0])
+        epr2 = _objective(state, "c8", GainStructure("epr2", n), "entanglement")
+        h0 = float(rng.uniform(-1.0, 1.0))
+        yield 1, lambda p: float(epr2(np.array([[p[0], h0, -h0]]))[0])
+    for k in (1, 2, 3):
+        a = rng.normal(size=(k, k))
+        a = a @ a.T + 0.1 * np.eye(k)
+        b, c = rng.normal(size=k), float(rng.normal())
+        yield k, lambda p, a=a, b=b, c=c: float(c + b @ p + p @ a @ p / 2.0)
+        yield k, lambda p: 1.0
+        yield k, lambda p: float(np.round(np.sum(p * p), 1))
+
+
+def _nelder_mead_cases(rng):
+    """(fun, simplex, xatol, fatol, maxiter, maxfev): random simplices, half
+    with the settings optimize_gains uses and half with limits small enough
+    to stop in any step."""
+    for k, fun in _nelder_mead_objectives(rng):
+        for _ in range(3):
+            centre = rng.uniform(-2.0, 2.0, k)
+            if rng.uniform() < 0.5:  # the absolute-scale simplex optimize_gains uses
+                simplex = np.vstack((centre, centre + 0.1 * np.eye(k)))
+            else:
+                simplex = centre + rng.normal(scale=rng.uniform(0.01, 0.5), size=(k + 1, k))
+            if rng.uniform() < 0.5:
+                yield fun, simplex, 1e-7, 1e-8, 2000, 4000
+            else:
+                xatol, fatol = [(1e-7, 1e-8), (1e-10, 1e-13), (0.0, 0.0)][rng.integers(3)]
+                yield fun, simplex, xatol, fatol, int(rng.integers(1, 30)), int(rng.integers(1, 60))
+    for k in (1, 2, 3):  # shrinks collapse the simplex to a point, which meets zero tolerances
+        yield lambda p: 1.0, rng.normal(size=(k + 1, k)), 0.0, 0.0, 2000, 4000
+
+
+class TestNelderMead:
+    def test_matches_scipy_bit_for_bit(self, rng):
+        statuses = []
+        for fun, simplex, *options in _nelder_mead_cases(rng):
+            x, value, nit, success, status = _scipy_nelder_mead(fun, simplex, *options)
+            got = cvwl.optimizer._nelder_mead(fun, simplex, *options)
+            assert got[0].tobytes() == x.tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(value).tobytes()
+            assert got[2:] == (nit, success)
+            statuses.append(status)
+        # converged, stopped by maxfev, stopped by maxiter
+        assert min(statuses.count(s) for s in (0, 1, 2)) >= 5
+
+    def test_leaves_the_initial_simplex_alone(self):
+        simplex = np.array([[0.5, 0.5], [0.6, 0.5], [0.5, 0.6]])
+        kept = simplex.copy()
+        cvwl.optimizer._nelder_mead(lambda p: float(p @ p), simplex, 1e-7, 1e-8, 2000, 4000)
+        assert np.array_equal(simplex, kept)
 
 
 def _objective_cases():
@@ -300,7 +399,7 @@ class TestExactSolve:
         def refuse(*args, **kwargs):
             raise AssertionError("Nelder-Mead called")
 
-        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", refuse)
+        monkeypatch.setattr(cvwl.optimizer, "_nelder_mead", refuse)
         for cid, n, kind, objective in _exact_cases():
             state = random_state(n, rng)
             result = optimize_gains(state, cid, structure=GainStructure(kind, n),
@@ -377,7 +476,7 @@ class TestExactSolve:
         def refuse(*args, **kwargs):
             raise AssertionError("Nelder-Mead called")
 
-        monkeypatch.setattr(cvwl.optimizer, "_scipy_minimize", refuse)
+        monkeypatch.setattr(cvwl.optimizer, "_nelder_mead", refuse)
         for cid, n, objective in _tied_ratio_cases():
             for state in (build_ghz(n, 1.0), random_state(n, rng)):
                 result = optimize_gains(state, cid, objective=objective)

@@ -13,6 +13,7 @@ from cvwl import (
     SqueezeSpec,
     apply_beam_splitter,
     apply_loss,
+    build_state,
     quadrature_variances,
     second_moments,
     squeezed_vacuum,
@@ -289,6 +290,25 @@ class TestValidationAndImmutability:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(PhysicalityError):
             GaussianState(np.diag([-0.5, 1.0]))
+
+    @pytest.mark.parametrize("r", [10.0, 20.0, 50.0])
+    @pytest.mark.parametrize("builder", ["ghz", "epr1", "epr2"])
+    @pytest.mark.parametrize("n", [3, 4, 6, 9])
+    def test_presets_build_at_large_squeezing(self, builder, n, r):
+        # eigvalsh rounds at about eps exp(2r), far beyond an absolute 1e-9
+        cov = build_state(builder, n, r).cov
+        assert np.max(np.abs(cov)) > math.exp(2.0 * r) / n
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e20, 1e43])
+    def test_negative_eigenvalue_relative_to_the_scale_rejected(self, scale, rng):
+        # the positivity tolerance grows with the largest entry, but an
+        # eigenvalue of -1e-6 times it is still rejected
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        cov = (q * [scale, scale, scale, -1e-6 * scale]) @ q.T
+        cov = (cov + cov.T) / 2.0
+        assert np.linalg.eigvalsh(cov)[0] <= -1e-6 * np.max(np.abs(cov)) * (1 - 1e-9)
+        with pytest.raises(PhysicalityError, match="not positive semidefinite"):
+            GaussianState(cov)
 
     def test_uncertainty_violation_rejected(self):
         with pytest.raises(PhysicalityError):
