@@ -300,7 +300,9 @@ def cmd_optimize(args) -> int:
 
 
 def _parse_values(text: str):
-    """--values: a comma list, or lo:hi:step with both ends included."""
+    """--values: a comma list, or lo:hi:step with both ends included.  A
+    range's last value may round past hi; it is clamped to hi.  A step
+    below the rounding of hi can leave a range empty, which is rejected."""
     if ":" in text:
         fields = text.split(":")
         if len(fields) != 3:
@@ -312,11 +314,12 @@ def _parse_values(text: str):
         if step <= 0 or hi < lo:
             raise argparse.ArgumentTypeError(
                 f"range must have hi >= lo and step > 0, got {text!r}")
-        return tuple(np.arange(lo, hi + step / 2.0, step))
-    try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad values list {text!r}: {exc}") from exc
+        values = tuple(np.minimum(np.arange(lo, hi + step / 2.0, step), hi))
+    else:
+        try:
+            values = tuple(float(v) for v in text.split(",") if v.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad values list {text!r}: {exc}") from exc
     if not values:
         raise argparse.ArgumentTypeError("needs at least one value")
     return values

@@ -572,10 +572,14 @@ def sweep(builder: str, n: int, criterion: str,
     (loss sweep at fixed `r`, applying efficiency eta once to each mode in
     `loss_modes`, 0-based and distinct) must be given.  An eta sweep builds
     its lossless state once and makes one :func:`apply_loss` call per point.
-    With `optimize`, each point is gain-optimized; `warm_start` seeds each
-    point with the previous optimum (the first point is solved cold: exactly
-    for the tied structure, by grid and refinement for "epr2"; an exact
-    quadratic solve ignores the seed).
+    Without `optimize`, the criterion is bound to `gains` once
+    (:func:`witnesses.evaluator`), so the gain row and the bounds are
+    computed before the first point and each point forms only its left-hand
+    side; gains at which the bound is not finite raise ValueError there,
+    before the first point.  With `optimize`, each point is gain-optimized;
+    `warm_start` seeds each point with the previous optimum (the first point
+    is solved cold: exactly for the tied structure, by grid and refinement
+    for "epr2"; an exact quadratic solve ignores the seed).
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")
@@ -591,11 +595,12 @@ def sweep(builder: str, n: int, criterion: str,
         base = build_state(builder, n, r)
         values, state_at = eta_values, lambda eta: apply_loss(base, loss_modes, eta)
 
+    report_at = None if optimize else witnesses.evaluator(criterion, gains, n)
     rows, prev = [], None
     for value in values:
         state = state_at(value)
-        if not optimize:
-            rows.append(SweepRow(value, gains, witnesses.evaluate(state, criterion, gains)))
+        if report_at is not None:
+            rows.append(SweepRow(value, gains, report_at(state)))
             continue
         result = optimize_gains(state, criterion, structure=structure, init=prev,
                                 objective=objective)

@@ -241,12 +241,16 @@ def apply_beam_splitter(state: GaussianState, i: int, j: int, reflectivity: floa
 def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: float) -> GaussianState:
     """Attenuation channel a -> sqrt(eta) a + sqrt(1-eta) a_vac on each of `modes`.
 
-    `modes` is one 0-based mode index or a sequence of distinct ones.  On
-    each mode, in the given order, cross covariances with other modes scale
-    by sqrt(eta) and the mode's own 2x2 block becomes eta * block +
-    (1 - eta) * I.  All modes are attenuated on one copy of the matrix,
-    which is validated once; the result equals the chain of single-mode
-    calls bit for bit.  Mixtures are rejected.
+    `modes` is one 0-based mode index or a sequence of distinct ones.  Cross
+    covariances with other modes scale by sqrt(eta) per lossy mode, and each
+    lossy mode's own 2x2 block becomes eta * block + (1 - eta) * I.  The
+    copied matrix is scaled by a vector, sqrt(eta) on the lossy quadratures
+    and 1 elsewhere, first by rows and then by columns, and the noise is
+    added to each lossy block ``cov[m::n, m::n]``; the one result is
+    validated once.  Every entry takes the same multiplications, in the
+    same order, as in the chain of single-mode calls, and a factor of 1 is
+    exact, so the two agree bit for bit, signed zeros included.  Mixtures
+    are rejected.
     """
     if isinstance(state, MixedState):
         raise ValueError("loss channels on mixtures are not supported")
@@ -259,13 +263,14 @@ def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: floa
             raise ValueError(f"mode index {mode} out of range for {n} modes")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    cov = np.array(state.cov)
-    root = np.sqrt(eta)
+    scale, root = np.ones(2 * n), np.sqrt(eta)
     for mode in modes:
-        idx = [mode, n + mode]
-        cov[idx, :] *= root
-        cov[:, idx] *= root
-        cov[np.ix_(idx, idx)] += (1.0 - eta) * np.eye(2)
+        scale[mode::n] = root
+    cov = state.cov * scale[:, None]
+    cov *= scale
+    noise = (1.0 - eta) * np.eye(2)
+    for mode in modes:
+        cov[mode::n, mode::n] += noise
     return GaussianState(cov)
 
 

@@ -30,9 +30,12 @@ form) for c5/c6 and for c8 at three modes.
 Each criterion is described once, as a row of :data:`TABLE`: its forms as
 (h, g) templates with named gain slots, how their terms combine, and its
 two bounds.  :func:`batch_terms` and :func:`batch_bound` evaluate a row at
-a batch of gain rows; :func:`evaluate` is a batch of one, and the gain
-optimizer calls the same two functions on its probes, candidates, grid
-and simplex points.
+a batch of gain rows, and the gain optimizer calls them on its probes,
+candidates, grid and simplex points.  :func:`evaluator` binds a row to
+one gain row, a batch of one: the bounds depend only on the gains, so it
+computes them once and returns a function of a state, which a fixed-gain
+sweep calls at every point.  :func:`evaluate` is that function, bound and
+called once.
 """
 
 from __future__ import annotations
@@ -253,14 +256,46 @@ def batch_bound(crit: Criterion, rows: np.ndarray, n: int, objective: str = "ent
     value = crit.ent_bound if objective == "entanglement" else crit.steer_bound
     if value != BY_GAINS:
         return None if value is None else np.full(len(rows), value)
-    products = rows[:, :n] * rows[:, n:]
-    if objective == "entanglement":
-        bound = genuine_bounds(products)
-    elif n == 3:
-        bound = steering_bounds(products)
-    else:
+    if objective != "entanglement" and n != 3:
         return None
+    products = rows[:, :n] * rows[:, n:]
+    bound = genuine_bounds(products) if objective == "entanglement" else steering_bounds(products)
     return bound / 2.0 if crit.combine == "product" else bound
+
+
+def evaluator(criterion: str, gains, n: int):
+    """One criterion at fixed gains on n-mode states, as a function of a
+    state that returns its :class:`WitnessReport`.
+
+    `gains` is what :func:`evaluate` takes.  The gain row and both bounds
+    depend only on the gains, so they are computed here, once; each call
+    then checks the state's mode count and forms the left-hand side.  Gains
+    at which the bound is not finite are rejected here, and a left-hand side
+    that is not finite by the call.
+    """
+    crit = lookup(criterion)
+    rows = crit.gain_row(gains, n)[None]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge gains overflow: rejected below
+        bound, steer = batch_bound(crit, rows, n), batch_bound(crit, rows, n, "steering")
+    bound, steer = float(bound[0]), None if steer is None else float(steer[0])
+    if not math.isfinite(bound):
+        raise ValueError(f"{crit.report_id} bound is not finite at these gains ({bound})")
+
+    def report(state: State) -> WitnessReport:
+        if state.n_modes != n:
+            raise ValueError(f"{crit.report_id} was bound to {n} modes, got {state.n_modes}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            var_u, var_v, terms, lhs = batch_terms(crit, second_moments(state))(rows)
+        lhs = float(lhs[0])
+        if not math.isfinite(lhs):
+            raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {lhs})")
+        if terms.shape[1] == 1:
+            details = {"var_u": float(var_u[0, 0]), "var_v": float(var_v[0, 0])}
+        else:
+            details = {name: float(t) for (name, _, _), t in zip(crit.forms, terms[0])}
+        return WitnessReport(crit.report_id, lhs, bound, steer, details)
+
+    return report
 
 
 def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
@@ -270,20 +305,7 @@ def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
     :func:`equal_split_gains`), (g1, g2, g3) for the three-mode forms and
     c1/c2, (g1..g4) for c9, (g1, g4) for c10, and ignored for c3/c4/c7.
     Unsupplied scalar gains default to zero.  Gains so large that the
-    left-hand side or the bound is not finite are rejected.
+    left-hand side or the bound is not finite are rejected.  This is
+    :func:`evaluator` bound to the state's mode count and called once.
     """
-    crit = lookup(criterion)
-    n = state.n_modes
-    rows = crit.gain_row(gains, n)[None]
-    with np.errstate(over="ignore", invalid="ignore"):  # huge gains overflow: rejected below
-        var_u, var_v, terms, lhs = batch_terms(crit, second_moments(state))(rows)
-        bound, steer = batch_bound(crit, rows, n), batch_bound(crit, rows, n, "steering")
-    lhs, bound = float(lhs[0]), float(bound[0])
-    if not (math.isfinite(lhs) and math.isfinite(bound)):
-        raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {lhs}, bound {bound})")
-    if terms.shape[1] == 1:
-        details = {"var_u": float(var_u[0, 0]), "var_v": float(var_v[0, 0])}
-    else:
-        details = {name: float(t) for (name, _, _), t in zip(crit.forms, terms[0])}
-    return WitnessReport(crit.report_id, lhs, bound, None if steer is None else float(steer[0]),
-                         details)
+    return evaluator(criterion, gains, state.n_modes)(state)

@@ -11,6 +11,7 @@ from cvwl.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     NetworkParseError,
+    _parse_values,
     main,
     parse_network,
 )
@@ -227,10 +228,13 @@ class TestExitCodes:
         ("optimize", "c5", "1,inf"),
         ("witness", "c5", "1e300,1e300"),
         ("optimize", "c5", "1e300,1e300"),
+        ("sweep", "c5", "1e300,1e300"),
     ])
     def test_non_finite_or_overflowing_gains_exit_2(self, command, criterion, gains, capsys):
+        extra = ["--param", "eta", "--values", "1,0.5", "--loss-modes", "2"] * (
+            command == "sweep")
         assert main([command, "--state", "ghz", "--n", "3", "--r", "1",
-                     "--criterion", criterion, "--gains", gains]) == EXIT_CONFIG
+                     "--criterion", criterion, "--gains", gains] + extra) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == ""
         assert "finite" in err and "Warning" not in err
@@ -331,6 +335,28 @@ class TestExitCodes:
         path.write_text("input vacuum\n")
         assert main(["sweep", "--state", "ghz", "--network", str(path), "--n", "3",
                      "--criterion", "c3", "--values", "0.5", "--no-optimize"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    def test_range_ending_at_one_keeps_its_last_value(self, tmp_path):
+        # 0.5 + 10 * 0.05 rounds to 1.0000000000000004, past the top efficiency
+        values = _parse_values("0.5:1:0.05")
+        assert len(values) == 11 and values[-1] == 1.0 and max(values) <= 1.0
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--state", "ghz", "--n", "6", "--r", "1", "--criterion", "c8",
+                     "--gains", "0.7,-0.3", "--param", "eta", "--values", "0.5:1:0.05",
+                     "--loss-modes", "2,4", "-o", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == 12 and lines[-1].startswith("1,")
+
+    def test_range_inside_its_ends_unchanged(self):
+        assert _parse_values("0:1:0.3") == tuple(np.arange(0.0, 1.15, 0.3))
+
+    @pytest.mark.parametrize("values", ["1:0:0.1", "0:1:0", "0:1:-0.5", "0:1", "0:1:0.1:2",
+                                        "a:1:0.1", "1:1:1e-17"])
+    def test_bad_ranges_exit_2(self, values, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
+                     "--param", "eta", "--values", values, "--loss-modes", "2",
+                     "--no-optimize"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
     def test_missing_values_for_sweep(self):

@@ -650,6 +650,36 @@ class TestSweep:
             assert (row.report.lhs, row.report.ent_bound, row.report.steer_bound) == (
                 report.lhs, report.ent_bound, report.steer_bound)
 
+    @pytest.mark.parametrize("builder,n,criterion,params,modes", [
+        ("ghz", 6, "c8", (0.7, -0.3), (1, 3)),
+        ("epr1", 3, "c5", (0.6, -0.6), (2,)),
+    ])
+    def test_fixed_gain_sweeps_equal_evaluate_at_every_point(self, builder, n, criterion,
+                                                             params, modes):
+        # the criterion is bound to the gains once per sweep; every point must
+        # report what evaluate reports on that point's state, field for field
+        gains = GainStructure("tied", n).expand(params)
+        etas, rs = np.linspace(0.05, 1.0, 12), np.linspace(0.1, 1.5, 8)
+        eta_rows = sweep(builder, n, criterion, eta_values=etas, r=1.0, loss_modes=modes,
+                         optimize=False, gains=gains)
+        r_rows = sweep(builder, n, criterion, r_values=rs, optimize=False, gains=gains)
+        states = [apply_loss(build_state(builder, n, 1.0), modes, eta) for eta in etas]
+        states += [build_state(builder, n, r) for r in rs]
+        for row, value, state in zip(eta_rows + r_rows, list(etas) + list(rs), states,
+                                     strict=True):
+            want = evaluate(state, criterion, gains)
+            assert (row.param, row.gains) == (value, gains)
+            assert (row.report.lhs, row.report.ent_bound, row.report.steer_bound,
+                    row.report.details) == (want.lhs, want.ent_bound, want.steer_bound,
+                                            want.details)
+            assert (row.report.steer_bound is None) == (n != 3)
+
+    def test_overflowing_gains_rejected_before_the_first_point(self, monkeypatch):
+        monkeypatch.setattr(cvwl.optimizer, "build_state", None)  # no state may be built
+        gains = GainVector((1.0, 1e300, 1e300), (1.0, 1e300, 1e300))
+        with pytest.raises(ValueError, match="bound is not finite"):
+            sweep("ghz", 3, "c5", r_values=(0.5, 1.0), optimize=False, gains=gains)
+
 
 class TestBuildState:
     def test_presets(self):

@@ -16,7 +16,7 @@ from cvwl import (
     vacuum_state,
 )
 from cvwl.partitions import Bipartition
-from cvwl.witnesses import WitnessReport
+from cvwl.witnesses import CRITERIA, TABLE, VECTOR, WitnessReport, evaluator
 from conftest import random_biseparable_mixture, random_state
 
 
@@ -349,3 +349,41 @@ class TestDispatcher:
         # finite gains whose left-hand side or bound overflows
         with pytest.raises(ValueError, match="not finite"):
             evaluate(build_ghz(3, 1.0), cid, gains)
+
+
+def random_gains(cid, n, rng):
+    """Random gains of the kind evaluate takes for a criterion, or None."""
+    slots = TABLE[cid].slots
+    if slots is VECTOR:
+        return GainVector(rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n))
+    return tuple(float(v) for v in rng.uniform(-1.5, 1.5, len(slots))) if slots else None
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("cid", CRITERIA)
+    def test_equals_evaluate_on_every_criterion(self, cid, rng):
+        # one binding, reused across states, reports what a fresh evaluate does
+        n = TABLE[cid].n_modes or 6
+        for gains in (None, random_gains(cid, n, rng), random_gains(cid, n, rng)):
+            report_at = evaluator(cid, gains, n)
+            states = [random_state(n, rng) for _ in range(3)]
+            states.append(random_biseparable_mixture(n, rng))
+            for state in states:
+                got, want = report_at(state), evaluate(state, cid, gains)
+                assert (got.criterion_id, got.lhs, got.ent_bound, got.steer_bound,
+                        got.details) == (want.criterion_id, want.lhs, want.ent_bound,
+                                         want.steer_bound, want.details)
+
+    @pytest.mark.parametrize("cid,n,other", [("c8", 4, 5), ("c8", 6, 3), ("c5", 3, 4)])
+    def test_state_of_another_size_rejected(self, cid, n, other):
+        with pytest.raises(ValueError, match=f"bound to {n} modes"):
+            evaluator(cid, None, n)(build_ghz(other, 1.0))
+
+    @pytest.mark.parametrize("cid,gains", [
+        ("c5", GainVector((1.0, 1e300, 1e300), (1.0, 1e300, 1e300))),
+        ("c8", GainVector((1.0, 1e200, -1e200, 1e200), (1.0, 1e200, 1e200, -1e200))),
+    ])
+    def test_overflowing_bound_rejected_when_bound(self, cid, gains):
+        # the bound depends only on the gains, so no state is needed to reject them
+        with pytest.raises(ValueError, match="bound is not finite"):
+            evaluator(cid, gains, gains.n_modes)
