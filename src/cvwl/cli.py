@@ -125,8 +125,9 @@ def parse_network(text: str) -> NetworkSpec:
                 if axis not in (SQUEEZE_X, SQUEEZE_P):
                     fail(f"squeeze axis must be 'x' or 'p', got {tokens[2]!r}", lineno, cols[2])
                 r = number(3, "squeeze parameter")
-                if r < 0:
-                    fail(f"squeeze parameter must be nonnegative, got {r}", lineno, cols[3])
+                if not 0.0 <= r < math.inf:
+                    fail(f"squeeze parameter must be finite and nonnegative, got {r}",
+                         lineno, cols[3])
                 inputs.append(SqueezeSpec(r, axis))
             else:
                 fail("expected: input vacuum | input squeeze x|p R", lineno,

@@ -23,14 +23,18 @@ and c10, and "lhs" on c5, c6 and c8.
 Exact tied ratio solve: with the "tied" structure the left-hand side of
 c5, c6 and c8 is built from A(h) = Var u and B(g) = Var v, two 1-D
 quadratics read off three evaluator probes, and the bound depends only on
-q = gh, piecewise affine in q.  For each affine piece alpha + beta q the
-stationary points of the ratio are roots of a cubic (sum) or a quadratic
-(product) (fractional programming: Dinkelbach, Management Science 13,
-492, 1967).  The entanglement bound is the greatest of three pieces, so
-it is convex and its ratio minimum is one of these points; the steering
-bound 2 min(1, |q|) is concave, and the minima on its kink curves
-gh = +-1, roots of a quartic, join the candidates.  Every candidate is
-scored with the batched objective and the least kept.
+q = gh, piecewise affine in q.  With mode 0's gains as free scales, the
+left-hand side and each affine piece alpha + beta q become quadratic
+forms L and B in the gains, so the stationary points of the ratio on a
+piece are the eigenvectors of the symmetric-definite pencil L z = R B z:
+the Rayleigh-quotient form of fractional programming (Dinkelbach,
+Management Science 13, 492, 1967).  One Cholesky factor of L and one
+batched ``eigh`` give them for every piece, sums and products alike.  The
+entanglement bound is the greatest of three pieces, so it is convex and
+its ratio minimum is one of these points; the steering bound
+2 min(1, |q|) is concave, and the minima on its kink curves gh = +-1,
+roots of a quartic, join the candidates.  Every candidate is scored with
+the batched objective and the least kept.
 
 Search: the ratio objectives of the 3-parameter "epr2" structure run a
 vectorized coarse grid over [-2, 2] per free parameter (step 0.05)
@@ -43,6 +47,7 @@ Nelder-Mead that gives bitwise the same steps, so no command loads SciPy.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -366,12 +371,20 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
 
     lhs is A(h) + B(g) or sqrt(A(h) B(g)), with A(h) = a0 + 2 a1 h + a2 h^2
     and B(g) = b0 + 2 b1 g + b2 g^2 read off the probes (g, h) = 0, 1, -1.
-    The candidates are the unconstrained minimum of lhs, the stationary
-    points of lhs / (alpha + beta q) for every affine piece of the bound,
-    and the minima of lhs on every curve gh = q0 of a kink that
-    :func:`_tied_pieces` lists (steering only).  Where the minimum is
-    attained, it is at one of them; a singular solve gives a non-finite
-    candidate.
+    With mode 0's gains free, z = (g_1, g, h_1, h), A + B is a quadratic
+    form z'Lz and a piece alpha + beta q of the bound is
+    alpha g_1 h_1 + beta g h = z'Bz, both homogeneous of degree 2.  A sum
+    ties g_1 = h_1.  A product leaves them free: scaling h by c and g by
+    1/c keeps the bound, and min_c (c^2 A + B / c^2) = 2 sqrt(AB).  Either
+    way the stationary points of the ratio are the eigenvectors of the
+    symmetric-definite pencil L z = R B z (Golub & Van Loan, Matrix
+    Computations, 8.7), one Cholesky factor of L and one batched ``eigh``
+    over the pieces, read back as g = z_g / z_g1 and h = z_h / z_h1.  The
+    candidates are these, the unconstrained minimum of lhs, and the minima
+    of lhs on every curve gh = q0 of a kink that :func:`_tied_pieces` lists
+    (steering only).  Where the minimum is attained, it is at one of them;
+    an eigenvector with a zero first gain gives a non-finite candidate,
+    which is dropped.
     """
     var_u, var_v = terms(structure.rows(np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])))[:2]
     coeffs = np.array([[v[0], (v[1] - v[2]) / 4.0, (v[1] + v[2]) / 2.0 - v[0]]
@@ -379,29 +392,21 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
     # the candidates do not change when lhs is scaled; scaling keeps the
     # products of coefficients below from overflowing at large r
     (a0, a1, a2), (b0, b1, b2) = coeffs / np.max(np.abs(coeffs))
-    points = [(-b1 / b2, -a1 / a2)]
     alpha, beta, kinks = _tied_pieces(structure.n_modes, objective)
-    for al, be in zip(alpha, beta):
-        if be == 0.0:  # a constant piece: the unconstrained minimum
-            continue
-        if not product:
-            # grad lhs = R grad b is linear in (h, g) at fixed R; lhs = R b
-            # then leaves a cubic in R
-            c = a0 + b0
-            for ratio in _real_roots([al * be * be / 4.0, -c * be * be / 4.0,
-                                      -al * a2 * b2 - be * a1 * b1,
-                                      c * a2 * b2 - a1 * a1 * b2 - b1 * b1 * a2]):
-                half = be * ratio / 2.0
-                det = a2 * b2 - half * half
-                points.append(((-b1 * a2 - half * a1) / det, (-a1 * b2 - half * b1) / det))
-        elif al == 0.0:  # sqrt(A / h^2) sqrt(B / g^2), each minimized alone
-            points.append((-b0 / b1, -a0 / a1))
-        else:
-            # al (a1 + a2 h) = be g (a0 + a1 h) and its mirror, g eliminated
-            for h in _real_roots([-be * (be * a1 * b0 + al * a2 * b1),
-                                  al * al * a2 * b2 - be * be * a0 * b0,
-                                  al * (be * a0 * b1 + al * a1 * b2)]):
-                points.append((al * (a1 + a2 * h) / (be * (a0 + a1 * h)), h))
+    lhs = np.zeros((4, 4))
+    lhs[:2, :2], lhs[2:, 2:] = [[b0, b1], [b1, b2]], [[a0, a1], [a1, a2]]
+    pieces = np.zeros((len(alpha), 4, 4))
+    pieces[:, 0, 2] = pieces[:, 2, 0] = alpha / 2.0
+    pieces[:, 1, 3] = pieces[:, 3, 1] = beta / 2.0
+    tie = np.eye(4) if product else np.eye(3)[[0, 1, 0, 2]]  # a sum ties g_1 = h_1
+    points = [(-b1 / b2, -a1 / a2)]
+    # from a squeeze of r ~ 9 up, L is positive definite only to rounding,
+    # and Cholesky may refuse it; the objective itself is at rounding there
+    with contextlib.suppress(np.linalg.LinAlgError):
+        # with tie' L tie = C C', w = tie C^-T turns the pencil into w' B w y = y / R
+        w = np.linalg.solve(np.linalg.cholesky(tie.T @ lhs @ tie), tie.T).T
+        z = w @ np.linalg.eigh(w.T @ pieces @ w)[1]
+        points.extend(zip((z[:, 1] / z[:, 0]).ravel(), (z[:, 3] / z[:, 2]).ravel()))
     for q0 in kinks:  # d lhs(q0 / h, h) / dh = 0, times a power of h
         if product:
             quartic = [a2 * b0, a1 * b0 + a2 * b1 * q0, 0.0, -q0 * (a0 * b1 + a1 * b2 * q0),

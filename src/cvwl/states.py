@@ -98,9 +98,12 @@ class GaussianState:
             raise ValueError(f"covariance must be a square matrix, got shape {cov.shape}")
         if cov.shape[0] == 0 or cov.shape[0] % 2 != 0:
             raise ValueError(f"covariance must be 2N x 2N with N >= 1, got shape {cov.shape}")
-        if not np.all(np.isfinite(cov)):
-            raise PhysicalityError("covariance matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(cov).max()))
+        largest = float(np.abs(cov).max())
+        # NaN and inf fail here, and so does an entry whose sum with its
+        # mirror image below would overflow
+        if not largest <= np.finfo(float).max / 2.0:
+            raise PhysicalityError("covariance matrix has non-finite or overflowing entries")
+        scale = max(1.0, largest)
         if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL * scale:
             raise PhysicalityError("covariance matrix is not symmetric")
         cov = (cov + cov.T) / 2.0
@@ -111,13 +114,16 @@ class GaussianState:
             raise PhysicalityError(
                 f"covariance matrix is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
             )
-        for j in range(n):
-            vx, vp, cxp = cov[j, j], cov[n + j, n + j], cov[j, n + j]
-            if vx * vp - cxp * cxp < 1.0 - PHYSICALITY_TOL:
-                raise PhysicalityError(
-                    f"mode {j} violates the uncertainty bound: "
-                    f"Var(x)Var(p) - Cov(x,p)^2 = {vx * vp - cxp * cxp:.12g} < 1"
-                )
+        # a product that overflows is inf, which passes; inf - inf is NaN,
+        # which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n):
+                vx, vp, cxp = cov[j, j], cov[n + j, n + j], cov[j, n + j]
+                if not vx * vp - cxp * cxp >= 1.0 - PHYSICALITY_TOL:
+                    raise PhysicalityError(
+                        f"mode {j} violates the uncertainty bound: "
+                        f"Var(x)Var(p) - Cov(x,p)^2 = {vx * vp - cxp * cxp:.12g} < 1"
+                    )
         cov.setflags(write=False)
         self._cov = cov
 

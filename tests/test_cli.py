@@ -70,6 +70,9 @@ class TestParseNetwork:
         ("warp 1\n", "unknown directive"),
         ("input vacuum\nloss 1 0.5\ninput vacuum\n", "precede"),
         ("input squeeze x minusone\n", "number"),
+        ("input squeeze x -1\n", "nonnegative"),
+        ("input squeeze x nan\n", "finite"),
+        ("input squeeze p inf\n", "finite"),
     ])
     def test_errors_carry_location(self, text, fragment):
         with pytest.raises(NetworkParseError) as err:
@@ -216,6 +219,12 @@ class TestExitCodes:
         assert main(["witness", "--state", "ghz", "--n", "3", "--r", "400",
                      "--criterion", "c3"]) == EXIT_NUMERICAL
         assert "numerical" in capsys.readouterr().err
+
+    def test_large_r_leaks_no_warning(self, capsys):
+        # Var(x) Var(p) overflows at r = 200; warnings are errors in this suite
+        assert main(["witness", "--state", "ghz", "--n", "3", "--r", "200",
+                     "--criterion", "c3"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("criterion,")
 
     @pytest.mark.parametrize("criterion,gains", [("c5", "1,nan"), ("c1", "0,nan,0")])
     def test_non_finite_gains_are_configuration_errors(self, criterion, gains, capsys):

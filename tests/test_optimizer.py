@@ -416,6 +416,10 @@ class TestExactSolve:
         pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         builders = ["ghz", "epr1", "epr2"] + (["counterexample"] if n == 3 else [])
         states = [build_state(b, n, r) for b in builders for r in R_GRID]
+        # loss on one mode pulls A(h) and B(g) apart most, and with them
+        # the free mode-0 scales of the product pencil
+        states += [apply_loss(build_state(b, n, 1.0), mode, 0.5)
+                   for b in ("ghz", "epr1", "epr2") for mode in range(n)]
         states += [vacuum_state(n)] + [random_state(n, rng) for _ in range(3)]
         options = {"xatol": 1e-9, "fatol": 1e-14, "maxfev": 4000}
         for state in states:
@@ -471,6 +475,14 @@ class TestExactSolve:
         assert result.ratio == pytest.approx(1.1320462, abs=1e-7)
         assert result.params[0] == pytest.approx(44.23, abs=0.01)
         assert result.params[1] == pytest.approx(-0.830, abs=0.001)
+
+    @pytest.mark.parametrize("r", [10.0, 15.0, 50.0])
+    def test_tied_ratio_at_large_squeezing_keeps_the_closed_form_gains(self, r):
+        # L is positive definite only to rounding here, and Cholesky may
+        # refuse it; the unconstrained minimum is still a candidate
+        for cid, n, objective in _tied_ratio_cases():
+            result = optimize_gains(build_ghz(n, r), cid, objective=objective)
+            assert result.params == pytest.approx(analytic_gains_ghz(n, r), abs=1e-6)
 
     def test_no_cold_tied_ratio_search_refines(self, monkeypatch, rng):
         def refuse(*args, **kwargs):

@@ -335,6 +335,27 @@ class TestValidationAndImmutability:
         cov = build_state(builder, n, r).cov
         assert np.max(np.abs(cov)) > math.exp(2.0 * r) / n
 
+    @pytest.mark.parametrize("r", [200.0, 300.0, 354.0, 354.8])
+    @pytest.mark.parametrize("builder,n", [("ghz", 3), ("epr1", 3), ("epr2", 4), ("ghz", 6)])
+    def test_presets_near_the_overflow_leak_no_warning(self, builder, n, r):
+        # Var(x) Var(p) overflows from r ~ 178 and passes; at r = 354.8 an
+        # input variance exceeds half the largest float, so symmetrizing it
+        # would overflow, and the first state rejects it; warnings are
+        # errors in this suite
+        if r == 354.8:
+            with pytest.raises(PhysicalityError, match="overflowing"):
+                build_state(builder, n, r)
+        else:
+            cov = build_state(builder, n, r).cov
+            assert np.all(np.isfinite(cov))
+            assert np.max(np.abs(cov)) > math.exp(2.0 * r) / (2 * n)
+
+    def test_overflowing_uncertainty_product_passes_and_nan_fails(self):
+        # 1e200 * 1e200 is inf, above 1; inf - inf is NaN, which must fail
+        assert GaussianState(np.diag([1e200, 1e200])).n_modes == 1
+        with pytest.raises(PhysicalityError, match="uncertainty bound.*nan"):
+            GaussianState(np.array([[1e200, 5e199], [5e199, 1e200]]))
+
     @pytest.mark.parametrize("scale", [1.0, 1e4, 1e20, 1e43])
     def test_negative_eigenvalue_relative_to_the_scale_rejected(self, scale, rng):
         # the positivity tolerance grows with the largest entry, but an
@@ -353,6 +374,9 @@ class TestValidationAndImmutability:
     def test_nonfinite_rejected(self):
         with pytest.raises(PhysicalityError):
             GaussianState(np.diag([np.inf, 0.0]))
+        for bad in (-np.inf, np.nan):
+            with pytest.raises(PhysicalityError, match="non-finite"):
+                GaussianState(np.diag([bad, 1.0]))
 
     def test_covariance_is_readonly(self):
         state = vacuum_state(1)
