@@ -11,9 +11,11 @@ rows of `REPRODUCE`: each target is a list of column groups, and one driver
 evaluates every group at each r of `R_GRID`, building each (preset, modes)
 state once per r.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 numerical failure
-(non-physical state).  Mode indices are 1-based on the command line and in
-network files.
+Exit codes: 0 success, 2 configuration/parse error (among them a squeeze
+parameter that is not finite, is negative, or reaches ln(DBL_MAX/2)/2 ~
+354.545, past which exp(2r) passes half the largest float), 3 numerical
+failure (non-physical state).  Mode indices are 1-based on the command
+line and in network files.
 
 Network file format (one directive per line, '#' starts a comment):
 
@@ -125,10 +127,10 @@ def parse_network(text: str) -> NetworkSpec:
                 if axis not in (SQUEEZE_X, SQUEEZE_P):
                     fail(f"squeeze axis must be 'x' or 'p', got {tokens[2]!r}", lineno, cols[2])
                 r = number(3, "squeeze parameter")
-                if not 0.0 <= r < math.inf:
-                    fail(f"squeeze parameter must be finite and nonnegative, got {r}",
-                         lineno, cols[3])
-                inputs.append(SqueezeSpec(r, axis))
+                try:
+                    inputs.append(SqueezeSpec(r, axis))
+                except ValueError as exc:  # r outside the range SqueezeSpec allows
+                    fail(str(exc), lineno, cols[3])
             else:
                 fail("expected: input vacuum | input squeeze x|p R", lineno,
                      cols[1] if len(tokens) > 1 else cols[0])
@@ -226,16 +228,14 @@ def _gains_for(args, n: int):
 
 
 def _gain_cells(criterion, gains, n):
-    """Column names and values describing the gains of one report row."""
-    slots = witnesses.lookup(criterion).slots
-    if slots is witnesses.VECTOR:
+    """Column names and values of the gain row that one report row was
+    evaluated at, g_1..g_N before h_1..h_N for c5/c6/c8."""
+    crit = witnesses.lookup(criterion)
+    row = tuple(crit.gain_row(gains, n).tolist())
+    if crit.slots is witnesses.VECTOR:
         names = tuple(f"g{k + 1}" for k in range(n)) + tuple(f"h{k + 1}" for k in range(n))
-        if gains is None:
-            gains = witnesses.equal_split_gains(n)
-        return names, tuple(gains.g) + tuple(gains.h)
-    if gains is None or not slots:
-        gains = (0.0,) * len(slots)
-    return slots, tuple(gains)
+        return names, row[n:] + row[:n]
+    return crit.slots, row
 
 
 def _write_rows(header, rows, output: Optional[str]):

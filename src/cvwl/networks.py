@@ -215,8 +215,6 @@ def build_counterexample(r: float, lone_orientation: str = SQUEEZE_P) -> MixedSt
     components ("p" keeps their p-variance at exp(-2r), which preserves the
     dual violation over the widest r range).
     """
-    if r < 0:
-        raise ValueError(f"squeeze parameter must be nonnegative, got {r}")
     lone = SqueezeSpec(r, lone_orientation)
     pair = (SqueezeSpec(r, SQUEEZE_P), SqueezeSpec(r, SQUEEZE_X))
     comp_12 = execute(NetworkSpec((pair[0], pair[1], lone), (BeamSplitter(0, 1, 0.5),)))

@@ -12,12 +12,12 @@ four or more modes.
 
 Exact quadratic solve: where the objective's bound does not move with the
 gains (objective "lhs", or a constant bound), a sum criterion's objective
-is a quadratic in the free parameters.  So is Var u + Var v of a product
-criterion whose parameters each feed one of its terms (s1-s3, c2 and c6),
-and as every term is positive that sum has the same minimizers.  The
-quadratic is read off the batched evaluator at 1 + 2k + k(k-1)/2 points
-and its minimum-norm minimizer solved for, so a parameter no form uses
-comes out as 0.  This covers every objective of b1-b3, s1-s3, c1, c2, c9
+is a quadratic in the free parameters.  A product criterion's objective
+has the minimizers of the sum of the variances its gains move: Var u +
+Var v for c6, and the Var v of its forms for s1-s3 and c2, whose Var u
+are fixed.  The quadratic is read off the batched evaluator at
+1 + 2k + k(k-1)/2 points and its minimum-norm minimizer solved for, so a
+parameter no form uses comes out as 0.  This covers every objective of b1-b3, s1-s3, c1, c2, c9
 and c10, and "lhs" on c5, c6 and c8.
 
 Exact tied ratio solve: with the "tied" structure the left-hand side of
@@ -325,18 +325,12 @@ def _objective(state: State, criterion: str, structure: GainStructure, objective
         return at
     if crit.combine == "sum":
         at.quadratic = at
+    elif crit.slots is witnesses.VECTOR:
+        # c6: h moves Var u and g Var v; at three modes no structure ties an h to a g
+        at.quadratic = lambda params: np.add(*terms(structure.rows(params))[:2])[:, 0]
     elif crit.combine == "product":
-        sources = structure._sources[0]
-        if crit.slots is witnesses.VECTOR:  # h_1..h_N feed Var u, g_1..g_N Var v
-            feeds = zip(sources, np.repeat([0, 1], n))
-            quadratic = lambda rows: np.add(*terms(rows)[:2])[:, 0]
-        else:  # every Var u is fixed; a parameter feeds the Var v of its forms
-            form, _, slot = crit.slot_entries
-            feeds = zip(sources[slot], form)
-            quadratic = lambda rows: terms(rows)[1].sum(axis=1)
-        feeds = {(int(param), int(term)) for param, term in feeds if param >= 0}
-        if len({param for param, _ in feeds}) == len(feeds):  # one term per parameter
-            at.quadratic = lambda params: quadratic(structure.rows(params))
+        # s1-s3, c2: every Var u is fixed, and each gain moves the Var v of one form
+        at.quadratic = lambda params: terms(structure.rows(params))[1].sum(axis=1)
     return at
 
 
@@ -420,9 +414,10 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
 
 
 def _least(points: np.ndarray, ratios: np.ndarray):
-    """The point of least ratio.  Flat objectives (e.g. every separable
-    state at ratio 1) are tie-broken toward the smallest gains, then the
-    first point."""
+    """The point of least ratio, a NaN ratio counting as inf.  Flat
+    objectives (e.g. every separable state at ratio 1) are tie-broken toward
+    the smallest gains, then the first point."""
+    ratios = np.where(np.isnan(ratios), np.inf, ratios)
     floor = float(np.min(ratios))
     tied = np.flatnonzero(ratios <= floor + 1e-9)
     idx = int(tied[np.argmin(np.einsum("bi,bi->b", points[tied], points[tied]))])
@@ -461,8 +456,9 @@ def optimize_gains(state: State, criterion: str,
     stationary candidates and keeps the least, with no refinement; one of
     the "epr2" structure runs a vectorized grid over [-2, 2]^3 followed by
     Nelder-Mead refinement from the best cell.  A warm start refines from
-    `init` only.  Deterministic either way.  A non-finite `init`, or a warm
-    start at which the objective is not finite, raises ValueError.
+    `init` only.  Deterministic either way.  A non-finite `init`, a warm
+    start at which the objective is not finite, or a result at which the
+    criterion is not finite raises ValueError, and no numpy warning leaks.
     """
     if objective not in ("entanglement", "steering", "lhs"):
         raise ValueError(
@@ -472,45 +468,46 @@ def optimize_gains(state: State, criterion: str,
     k = structure.n_params
     if init is not None and (np.shape(init) != (k,) or not np.all(np.isfinite(init))):
         raise ValueError(f"init must supply {k} finite values for {structure.param_names}")
-    batch = _objective(state, cid, structure, objective)
+    # huge gains, singular solves and far-off candidates may overflow, and
+    # from a squeeze of r ~ 9.5 a product's Var u Var v may round negative;
+    # such a point scores NaN or inf, and a non-finite result is rejected
+    # by `evaluate` below
+    with np.errstate(all="ignore"):
+        batch = _objective(state, cid, structure, objective)
 
-    def ratio_at(params) -> float:
-        return float(batch(np.atleast_2d(params))[0])
+        def ratio_at(params) -> float:
+            return float(batch(np.atleast_2d(params))[0])
 
-    if k == 0 or batch.quadratic is not None:
-        best = _quadratic_minimizer(batch.quadratic, k) if k else np.zeros(0)
-        best_ratio = ratio_at(best)
-        iterations, converged = 0, True
-    elif init is None and batch.stationary is not None:
-        # singular solves and far-off candidates may overflow; such a
-        # candidate scores NaN or inf and is never kept over a finite one
-        with np.errstate(all="ignore"):
+        if k == 0 or batch.quadratic is not None:
+            best = _quadratic_minimizer(batch.quadratic, k) if k else np.zeros(0)
+            best_ratio = ratio_at(best)
+            iterations, converged = 0, True
+        elif init is None and batch.stationary is not None:
             points = batch.stationary()
-            ratios = batch(points)
-        best, best_ratio = _least(points, np.where(np.isnan(ratios), np.inf, ratios))
-        iterations, converged = 0, True
-    else:
-        if init is not None:
-            best = np.asarray(init, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):  # huge gains overflow
-                best_ratio = ratio_at(best)
-            if not math.isfinite(best_ratio):
-                raise ValueError(f"the {objective} objective is not finite at init {tuple(init)}")
+            best, best_ratio = _least(points, batch(points))
+            iterations, converged = 0, True
         else:
-            axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
-            pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")],
-                           axis=1)
-            best, best_ratio = _least(pts, np.concatenate(
-                [batch(pts[lo:lo + GRID_CHUNK]) for lo in range(0, len(pts), GRID_CHUNK)]))
-        # absolute-scale initial simplex: the default one is relative to the
-        # start point and degenerates when warm-starting from gains near zero
-        simplex = np.tile(np.asarray(best, dtype=float), (k + 1, 1))
-        for axis_idx in range(k):
-            simplex[axis_idx + 1, axis_idx] += 0.1
-        x, fun, iterations, converged = _nelder_mead(
-            ratio_at, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
-        if np.isfinite(fun) and fun <= best_ratio:
-            best, best_ratio = x, fun
+            if init is not None:
+                best = np.asarray(init, dtype=float)
+                best_ratio = ratio_at(best)
+                if not math.isfinite(best_ratio):
+                    raise ValueError(
+                        f"the {objective} objective is not finite at init {tuple(init)}")
+            else:
+                axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
+                pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")],
+                               axis=1)
+                best, best_ratio = _least(pts, np.concatenate(
+                    [batch(pts[lo:lo + GRID_CHUNK]) for lo in range(0, len(pts), GRID_CHUNK)]))
+            # absolute-scale initial simplex: the default one is relative to the
+            # start point and degenerates when warm-starting from gains near zero
+            simplex = np.tile(np.asarray(best, dtype=float), (k + 1, 1))
+            for axis_idx in range(k):
+                simplex[axis_idx + 1, axis_idx] += 0.1
+            x, fun, iterations, converged = _nelder_mead(
+                ratio_at, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
+            if np.isfinite(fun) and fun <= best_ratio:
+                best, best_ratio = x, fun
 
     best = tuple(float(v) for v in np.atleast_1d(best))
     gains = structure.expand(best)

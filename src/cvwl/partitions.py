@@ -13,9 +13,8 @@ bitwise equal in every row of a batch form a class, and a split's sums
 depend only on how many modes of each class lie on side B, so a class of
 m modes contributes m + 1 counts instead of 2^m subsets: tied gains, with
 products (1, q, ..., q), need N sums per side, and products that are all
-distinct take N - 1 doubling steps whose sums are indexed by the bitmask
-that orders :func:`enumerate_bipartitions`.  The objects remain as the
-reference the tests compare against and for labels.
+distinct take N - 1 doubling steps.  The objects remain as the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -68,15 +67,12 @@ def _check_modes(n: int):
         raise ValueError(f"mode count must lie in [2, {MAX_MODES}], got {n}")
 
 
-def _from_mask(n: int, mask: int) -> Bipartition:
-    set_b = frozenset(k + 1 for k in range(n - 1) if mask >> k & 1)
-    return Bipartition(frozenset(range(n)) - set_b, set_b)
-
-
 def enumerate_bipartitions(n: int):
     """All 2^(N-1) - 1 canonical bipartitions, ordered by the bitmask of set_b."""
     _check_modes(n)
-    return tuple(_from_mask(n, mask) for mask in range(1, 1 << (n - 1)))
+    sides = (frozenset(k + 1 for k in range(n - 1) if mask >> k & 1)
+             for mask in range(1, 1 << (n - 1)))
+    return tuple(Bipartition(frozenset(range(n)) - set_b, set_b) for set_b in sides)
 
 
 def biseparable_bound(gains: GainVector, partition: Bipartition) -> float:
@@ -108,9 +104,8 @@ def _classes(products: np.ndarray):
 
 def _split_bounds(products: np.ndarray, classes) -> np.ndarray:
     """:func:`biseparable_bound` of every distinct split of the classes of
-    modes 1..N-1, for each row of a (B, N) products array; the result is
-    (prod(m + 1) - 1, B), and in enumeration order when every class is one
-    mode.
+    modes 1..N-1, for each row of a (B, N) products array, as a
+    (prod(m + 1) - 1, B) array.
 
     A split puts c of a class's m equal products on side B and m - c on
     side A, and sits at index sum_j c_j S_j, where a class's stride S is
@@ -158,14 +153,6 @@ def genuine_bound(gains: GainVector, n: int | None = None) -> float:
     if gains.n_modes != n:
         raise ValueError(f"gain length {gains.n_modes} does not match n={n}")
     return float(genuine_bounds(gains.products())[0])
-
-
-def binding_partition(gains: GainVector) -> Bipartition:
-    """The bipartition achieving :func:`genuine_bound` (first in canonical order)."""
-    _check_modes(gains.n_modes)
-    classes = [(k, 1) for k in range(1, gains.n_modes)]
-    bounds = _split_bounds(gains.products()[None], classes)[:, 0]
-    return _from_mask(gains.n_modes, int(np.argmin(bounds)) + 1)
 
 
 def steering_bounds(products) -> np.ndarray:

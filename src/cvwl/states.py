@@ -28,6 +28,9 @@ PHYSICALITY_TOL = 1e-9
 
 SQUEEZE_X = "x"
 SQUEEZE_P = "p"
+# r at which exp(2r) rounds past half the largest float, the most that a
+# GaussianState entry may hold; every squeeze parameter lies below it
+_R_LIMIT = float(np.log(np.finfo(float).max / 2.0) / 2.0)
 
 
 class PhysicalityError(ValueError):
@@ -43,8 +46,9 @@ class SqueezeSpec:
     orientation: str = SQUEEZE_X
 
     def __post_init__(self):
-        if not 0.0 <= self.r < np.inf:
-            raise ValueError(f"squeeze parameter must be finite and nonnegative, got {self.r}")
+        if not 0.0 <= self.r < _R_LIMIT:
+            raise ValueError(f"squeeze parameter must be finite, nonnegative and below "
+                             f"{_R_LIMIT!r}, got {self.r}")
         if self.orientation not in (SQUEEZE_X, SQUEEZE_P):
             raise ValueError(
                 f"orientation must be {SQUEEZE_X!r} or {SQUEEZE_P!r}, "
@@ -191,10 +195,7 @@ def vacuum_state(n: int) -> GaussianState:
 
 def squeezed_vacuum(spec: SqueezeSpec) -> GaussianState:
     """Single-mode squeezed vacuum with variances exp(-2r) / exp(+2r)."""
-    with np.errstate(over="ignore"):
-        lo, hi = np.exp(-2.0 * spec.r), np.exp(2.0 * spec.r)
-    if not np.isfinite(hi):
-        raise PhysicalityError(f"squeeze parameter r = {spec.r} overflows exp(2r)")
+    lo, hi = np.exp(-2.0 * spec.r), np.exp(2.0 * spec.r)
     if spec.orientation == SQUEEZE_X:
         return GaussianState(np.diag([lo, hi]))
     return GaussianState(np.diag([hi, lo]))

@@ -16,7 +16,8 @@ from cvwl.cli import (
     parse_network,
 )
 from cvwl.networks import BeamSplitter, LossChannel, ghz_network
-from cvwl import GainVector, build_ghz, execute, quadrature_variances
+from cvwl.optimizer import BUILDERS
+from cvwl import GainVector, PhysicalityError, build_ghz, execute, quadrature_variances
 
 GHZ_FILE = """\
 # three-mode cascade
@@ -62,23 +63,31 @@ class TestParseNetwork:
         spec = parse_network("input vacuum\nloss 1 0.8\n")
         assert spec.ops == (LossChannel(0, 0.8),)
 
-    @pytest.mark.parametrize("text,fragment", [
-        ("input vacuum\nbs 1 3 0.5\n", "out of range"),
-        ("input vacuum\ninput vacuum\nbs 1 1 0.5\n", "distinct"),
-        ("input vacuum\ninput vacuum\nbs 1 2 1.5\n", "[0.0, 1.0]"),
-        ("input squeeze y 1.0\n", "axis"),
-        ("warp 1\n", "unknown directive"),
-        ("input vacuum\nloss 1 0.5\ninput vacuum\n", "precede"),
-        ("input squeeze x minusone\n", "number"),
-        ("input squeeze x -1\n", "nonnegative"),
-        ("input squeeze x nan\n", "finite"),
-        ("input squeeze p inf\n", "finite"),
+    @pytest.mark.parametrize("text,fragment,where", [
+        ("input vacuum\nbs 1 3 0.5\n", "out of range", (2, 6)),
+        ("input vacuum\ninput vacuum\nbs 1 1 0.5\n", "distinct", (3, 6)),
+        ("input vacuum\ninput vacuum\nbs 1 2 1.5\n", "[0.0, 1.0]", (3, 8)),
+        ("input squeeze y 1.0\n", "axis", (1, 15)),
+        ("warp 1\n", "unknown directive", (1, 1)),
+        ("input vacuum\nloss 1 0.5\ninput vacuum\n", "precede", (3, 1)),
+        ("input squeeze x minusone\n", "number", (1, 17)),
+        ("input squeeze x -1\n", "nonnegative", (1, 17)),
+        ("input squeeze x nan\n", "finite", (1, 17)),
+        ("input squeeze p inf\n", "finite", (1, 17)),
+        ("input vacuum 3\n", "no further arguments", (1, 14)),
+        ("input squeeze x\n", "expected: input squeeze", (1, 15)),
+        ("input\n", "expected: input vacuum", (1, 1)),
+        ("input vacuum\ninput vacuum\nbs 1 2\n", "expected: bs", (3, 6)),
+        ("input vacuum\nloss 1\n", "expected: loss", (2, 6)),
+        ("input vacuum\ninput vacuum\nbs 1 x 0.5\n", "must be an integer", (3, 6)),
+        # exp(2r) would pass half the largest float
+        ("input squeeze x 400\n", "below 354.54478", (1, 17)),
     ])
-    def test_errors_carry_location(self, text, fragment):
+    def test_errors_carry_location(self, text, fragment, where):
         with pytest.raises(NetworkParseError) as err:
             parse_network(text)
         assert fragment in str(err.value)
-        assert err.value.line >= 1 and err.value.column >= 1
+        assert (err.value.line, err.value.column) == where
 
     def test_error_location_is_precise(self):
         with pytest.raises(NetworkParseError) as err:
@@ -123,6 +132,33 @@ class TestCommands:
         cells = dict(zip(header.split(","), row.split(",")))
         assert float(cells["lhs"]) == pytest.approx(4.5 * math.exp(-2), rel=1e-6)
 
+    def test_witness_full_gain_vector_matches_tied_pair(self, capsys):
+        # h_1..h_N, g_1..g_N against the tied pair g,h that expands to them
+        rows = []
+        for gains in ("1,-0.5,-0.5,1,1,1", "1,-0.5"):
+            assert main(["witness", "--state", "ghz", "--n", "3", "--r", "1",
+                         "--criterion", "c5", "--gains", gains]) == EXIT_OK
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+        assert rows[0].splitlines()[1].startswith("C5,1,1,1,1,1,-0.5,-0.5,")
+
+    @pytest.mark.parametrize("gains", ["1,2,3", "1", "1,2,3,4,5,6,7"])
+    def test_gain_count_neither_2_nor_2n(self, gains, capsys):
+        assert main(["witness", "--state", "ghz", "--n", "3", "--r", "1",
+                     "--criterion", "c5", "--gains", gains]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "c5 takes 2 tied gains (g,h) or 6 values h_1..h_3,g_1..g_3" in err
+
+    def test_zero_bound_prints_inf(self, capsys):
+        # every product h_i g_i is 0, so the bound is 0 and the ratio infinite
+        assert main(["witness", "--state", "ghz", "--n", "3", "--r", "1",
+                     "--criterion", "c5", "--gains", "1,0,0,0,0,0"]) == EXIT_OK
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header == "criterion,param,g1,g2,g3,h1,h2,h3,lhs,bound,ent,steer_verdict"
+        assert row.startswith("C5,1,0,0,0,1,0,0,")
+        assert row.endswith(",0,inf,false")
+
     def test_witness_from_network_file(self, tmp_path, capsys):
         path = tmp_path / "net.txt"
         path.write_text(GHZ_FILE)
@@ -161,6 +197,16 @@ class TestCommands:
         assert lines[0] == "param,lhs,bound,ent,steer_verdict"
         assert float(lines[1].split(",")[0]) == 0.5
         assert float(lines[1].split(",")[3]) == pytest.approx(2 * math.exp(-1), rel=1e-6)
+
+    def test_sweep_without_optimizing_prints_the_equal_split(self, capsys):
+        assert main(["sweep", "--state", "ghz", "--n", "4", "--criterion", "c8",
+                     "--values", "0.5,1", "--no-optimize"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "param,g1,g2,g3,g4,h1,h2,h3,h4,lhs,bound,ent,steer_verdict"
+        c = f"{1 / math.sqrt(3):.6g}"
+        for line, r in zip(lines[1:], ("0.5", "1")):
+            assert line.startswith(f"{r},1,{c},{c},{c},1,-{c},-{c},-{c},")
+        assert len(lines) == 3
 
     def test_sweep_eta_grid(self, capsys):
         assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "2",
@@ -214,11 +260,30 @@ class TestExitCodes:
         assert main(["witness", "--network", str(path), "--criterion", "c3"]) == EXIT_CONFIG
         assert "line 2" in capsys.readouterr().err
 
-    def test_numerical_failure_exit_code(self, capsys):
-        # exp(2r) overflows to inf for r = 400
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        # exp(2r) would pass half the largest float: a configuration error
         assert main(["witness", "--state", "ghz", "--n", "3", "--r", "400",
+                     "--criterion", "c3"]) == EXIT_CONFIG
+        assert "below 354.54478" in capsys.readouterr().err
+        # no preset overflows below that, so a builder fails on purpose
+        def unphysical(n, r):
+            raise PhysicalityError("covariance matrix is not positive semidefinite")
+
+        monkeypatch.setitem(BUILDERS, "ghz", unphysical)
+        assert main(["witness", "--state", "ghz", "--n", "3", "--r", "1",
                      "--criterion", "c3"]) == EXIT_NUMERICAL
-        assert "numerical" in capsys.readouterr().err
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("criterion,objective", [
+        ("c4", "entanglement"), ("c4", "lhs"), ("c6", "lhs")])
+    def test_product_past_rounding_exits_2_without_warning(self, criterion, objective, capsys):
+        # from r ~ 9.5 a product's Var u Var v rounds negative; warnings are
+        # errors in this suite
+        assert main(["optimize", "--state", "epr1", "--n", "3", "--r", "9.5",
+                     "--criterion", criterion, "--objective", objective]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "is not finite at these gains" in err and "Warning" not in err
 
     def test_large_r_leaks_no_warning(self, capsys):
         # Var(x) Var(p) overflows at r = 200; warnings are errors in this suite

@@ -529,6 +529,22 @@ class TestExactSolve:
         with pytest.raises(ValueError, match=match):
             optimize_gains(build_ghz(n, 1.0), cid, **kwargs)
 
+    @pytest.mark.parametrize("r", [9.5, 9.75, 10.0])
+    @pytest.mark.parametrize("builder", ["ghz", "epr1", "epr2", "counterexample"])
+    def test_products_past_rounding_leak_no_warning(self, builder, r):
+        # from r ~ 9.5 a product's Var u Var v may round negative, and its
+        # square root is NaN; warnings are errors in this suite
+        state = build_state(builder, 3, r)
+        cases = [(cid, "entanglement") for cid in ("s1", "s2", "s3", "c2", "c4", "c6")]
+        cases += [("c4", "steering"), ("c4", "lhs"), ("c6", "lhs")]
+        for cid, objective in cases:
+            try:
+                result = optimize_gains(state, cid, objective=objective)
+            except ValueError as exc:
+                assert "is not finite at these gains" in str(exc)
+            else:
+                assert math.isfinite(result.ratio)
+
 
 class TestStructures:
     def test_tied_expansion(self):

@@ -15,7 +15,7 @@ from cvwl import (
     genuine_bound,
     steering_bound,
 )
-from cvwl.partitions import BLOCK_SUMS, binding_partition, genuine_bounds
+from cvwl.partitions import BLOCK_SUMS, genuine_bounds
 
 
 def _doubling_bounds(products):
@@ -175,8 +175,6 @@ class TestGenuineBound:
             oracle = min(biseparable_bound(gains, p) for p in enumerate_bipartitions(n))
             assert bound == pytest.approx(oracle, rel=1e-12, abs=1e-15)
             assert genuine_bound(gains, n) == bound
-            assert biseparable_bound(gains, binding_partition(gains)) == pytest.approx(
-                oracle, rel=1e-12, abs=1e-15)
 
     def test_batched_bound_blocks_rows(self, rng):
         # a block holds BLOCK_SUMS >> 11 rows at N = 12; take two and a bit
@@ -233,11 +231,6 @@ class TestGenuineBound:
         products = rows[:, :n] * rows[:, n:]
         np.testing.assert_allclose(genuine_bounds(products),
                                    _doubling_bounds(products).min(axis=0), rtol=1e-14, atol=0)
-
-    def test_binding_partition_achieves_bound(self, rng):
-        gains = GainVector(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
-        part = binding_partition(gains)
-        assert biseparable_bound(gains, part) == pytest.approx(genuine_bound(gains, 4))
 
 
 class TestSteeringBound:

@@ -22,6 +22,10 @@ from cvwl import (
 )
 from conftest import permute_modes, random_pure_state, random_state
 
+# from this squeeze parameter on, exp(2r) rounds past half the largest float,
+# the most that a covariance entry may hold
+R_LIMIT = math.log(np.finfo(float).max / 2.0) / 2.0
+
 
 class TestVacuum:
     def test_single_mode_unit_variances(self):
@@ -67,10 +71,17 @@ class TestSqueezedVacuum:
         with pytest.raises(ValueError):
             SqueezeSpec(r, "x")
 
-    def test_overflowing_r_is_a_physicality_error(self):
-        # exp(2r) is not finite for r = 400; no overflow warning may leak
-        with pytest.raises(PhysicalityError, match="r = 400"):
-            squeezed_vacuum(SqueezeSpec(400.0, "p"))
+    @pytest.mark.parametrize("r", [R_LIMIT, np.nextafter(R_LIMIT, math.inf), 400.0, 1e308])
+    def test_r_from_the_overflow_limit_rejected(self, r):
+        assert math.exp(2.0 * R_LIMIT) > np.finfo(float).max / 2.0
+        with pytest.raises(ValueError, match="below 354.54478"):
+            SqueezeSpec(r, "p")
+
+    @pytest.mark.parametrize("orientation", ["x", "p"])
+    def test_r_just_below_the_limit_builds(self, orientation):
+        cov = squeezed_vacuum(SqueezeSpec(np.nextafter(R_LIMIT, 0.0), orientation)).cov
+        assert np.max(cov) == pytest.approx(math.exp(2.0 * R_LIMIT), rel=1e-12)
+        assert np.max(cov) <= np.finfo(float).max / 2.0
 
     def test_bad_orientation_rejected(self):
         with pytest.raises(ValueError):
@@ -335,15 +346,15 @@ class TestValidationAndImmutability:
         cov = build_state(builder, n, r).cov
         assert np.max(np.abs(cov)) > math.exp(2.0 * r) / n
 
-    @pytest.mark.parametrize("r", [200.0, 300.0, 354.0, 354.8])
+    @pytest.mark.parametrize("r", [200.0, 300.0, 354.0, np.nextafter(R_LIMIT, 0.0), 354.8])
     @pytest.mark.parametrize("builder,n", [("ghz", 3), ("epr1", 3), ("epr2", 4), ("ghz", 6)])
     def test_presets_near_the_overflow_leak_no_warning(self, builder, n, r):
-        # Var(x) Var(p) overflows from r ~ 178 and passes; at r = 354.8 an
-        # input variance exceeds half the largest float, so symmetrizing it
-        # would overflow, and the first state rejects it; warnings are
-        # errors in this suite
-        if r == 354.8:
-            with pytest.raises(PhysicalityError, match="overflowing"):
+        # Var(x) Var(p) overflows from r ~ 178 and passes; up to the float
+        # below R_LIMIT every input variance stays within half the largest
+        # float, and from R_LIMIT the squeeze parameter itself is rejected;
+        # warnings are errors in this suite
+        if r >= R_LIMIT:
+            with pytest.raises(ValueError, match="below 354.54478"):
                 build_state(builder, n, r)
         else:
             cov = build_state(builder, n, r).cov
