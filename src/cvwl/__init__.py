@@ -47,7 +47,6 @@ from .partitions import (
     biseparable_bound,
     enumerate_bipartitions,
     genuine_bound,
-    steering_bound,
 )
 from .witnesses import WitnessReport, equal_split_gains, evaluate
 from .optimizer import (

@@ -36,6 +36,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -86,13 +87,7 @@ def parse_network(text: str) -> NetworkSpec:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = line.split()
-        cols = []
-        pos = 0
-        for tok in tokens:
-            pos = line.index(tok, pos)
-            cols.append(pos + 1)
-            pos += len(tok)
+        tokens, cols = zip(*((m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)))
 
         def number(idx, what, lo=None, hi=None):
             try:

@@ -33,14 +33,19 @@ batched ``eigh`` give them for every piece, sums and products alike.  The
 entanglement bound is the greatest of three pieces, so it is convex and
 its ratio minimum is one of these points; the steering bound
 2 min(1, |q|) is concave, and the minima on its kink curves gh = +-1,
-roots of a quartic, join the candidates.  Every candidate is scored with
-the batched objective and the least kept.
+roots of a quartic, join the candidates.  Where a candidate's mode-0
+gain is exactly 0 (mode 0 uncorrelated with the rest), the infimum lies at
+infinity, and the candidate is a point far along its direction.
 
-Search: the ratio objectives of the 3-parameter "epr2" structure run a
-vectorized coarse grid over [-2, 2] per free parameter (step 0.05)
-followed by Nelder-Mead refinement; the grid does not bracket every
+Search: the ratio objectives of the 3-parameter "epr2" structure score a
+vectorized coarse grid over [-2, 2] per free parameter (step 0.05) and
+refine its best point by Nelder-Mead; the grid does not bracket every
 optimum.  Passing an explicit ``init`` to a c5/c6/c8 ratio objective
 skips the grid or the tied solve (warm start) and refines from there.
+Every solve first chooses its points (the quadratic's minimizer, the tied
+candidates, a warm ``init`` or the grid), then scores them all with one
+batched call of the objective and keeps the least; only a searched start,
+``init`` or the best grid point, goes on to refinement.
 The refinement is :func:`_nelder_mead`, a numpy transcription of SciPy's
 Nelder-Mead that gives bitwise the same steps, so no command loads SciPy.
 """
@@ -376,9 +381,11 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
     over the pieces, read back as g = z_g / z_g1 and h = z_h / z_h1.  The
     candidates are these, the unconstrained minimum of lhs, and the minima
     of lhs on every curve gh = q0 of a kink that :func:`_tied_pieces` lists
-    (steering only).  Where the minimum is attained, it is at one of them;
-    an eigenvector with a zero first gain gives a non-finite candidate,
-    which is dropped.
+    (steering only).  Where the minimum is attained, it is at one of them.
+    An eigenvector with a zero first gain has its infimum at infinity: its
+    candidate is its direction (z_g, z_h) scaled to length
+    RATIO_TOL^(-1/2), where the ratio is within a few RATIO_TOL of that
+    limit.
     """
     var_u, var_v = terms(structure.rows(np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])))[:2]
     coeffs = np.array([[v[0], (v[1] - v[2]) / 4.0, (v[1] + v[2]) / 2.0 - v[0]]
@@ -400,7 +407,12 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
         # with tie' L tie = C C', w = tie C^-T turns the pencil into w' B w y = y / R
         w = np.linalg.solve(np.linalg.cholesky(tie.T @ lhs @ tie), tie.T).T
         z = w @ np.linalg.eigh(w.T @ pieces @ w)[1]
-        points.extend(zip((z[:, 1] / z[:, 0]).ravel(), (z[:, 3] / z[:, 2]).ravel()))
+        rest, mode0 = z[:, [1, 3]], z[:, [0, 2]]  # (z_g, z_h) and (z_g1, z_h1) per eigenvector
+        pencil = rest / mode0
+        # a zero mode-0 gain puts the infimum at infinity: go far along (z_g, z_h)
+        far = rest * (RATIO_TOL ** -0.5 / np.sqrt(np.sum(rest * rest, axis=1, keepdims=True)))
+        pencil = np.where(np.isfinite(pencil).all(axis=1, keepdims=True), pencil, far)
+        points.extend(pencil.transpose(0, 2, 1).reshape(-1, 2).tolist())
     for q0 in kinks:  # d lhs(q0 / h, h) / dh = 0, times a power of h
         if product:
             quartic = [a2 * b0, a1 * b0 + a2 * b1 * q0, 0.0, -q0 * (a0 * b1 + a1 * b2 * q0),
@@ -450,15 +462,17 @@ def optimize_gains(state: State, criterion: str,
                    objective: str = "entanglement") -> OptimizationResult:
     """Minimize the normalized witness ratio over a tied gain structure.
 
-    Where the objective has a quadratic with the same minimizers (see the
-    module docstring) its minimum is solved for exactly, and `init` is only
-    checked.  A cold start (no `init`) of a tied ratio objective scores its
-    stationary candidates and keeps the least, with no refinement; one of
-    the "epr2" structure runs a vectorized grid over [-2, 2]^3 followed by
-    Nelder-Mead refinement from the best cell.  A warm start refines from
-    `init` only.  Deterministic either way.  A non-finite `init`, a warm
-    start at which the objective is not finite, or a result at which the
-    criterion is not finite raises ValueError, and no numpy warning leaks.
+    The solve first chooses its points, then scores them all in one
+    batched call and keeps the least.  Where the objective has a quadratic
+    with the same minimizers (see the module docstring) the point is its
+    exact minimum, and `init` is only checked.  A cold start (no `init`) of
+    a tied ratio objective takes its stationary candidates, with no
+    refinement; one of the "epr2" structure takes a grid over [-2, 2]^3
+    and refines the best cell by Nelder-Mead.  A warm start takes `init`
+    alone and refines from it.  Deterministic either way.  A non-finite
+    `init`, a warm start at which the objective is not finite, or a result
+    at which the criterion is not finite raises ValueError, and no numpy
+    warning leaks.
     """
     if objective not in ("entanglement", "steering", "lhs"):
         raise ValueError(
@@ -470,42 +484,37 @@ def optimize_gains(state: State, criterion: str,
         raise ValueError(f"init must supply {k} finite values for {structure.param_names}")
     # huge gains, singular solves and far-off candidates may overflow, and
     # from a squeeze of r ~ 9.5 a product's Var u Var v may round negative;
-    # such a point scores NaN or inf, and a non-finite result is rejected
-    # by `evaluate` below
+    # such a point scores NaN or inf, and a non-finite result, or one with a
+    # variance below zero, is rejected by `evaluate` below
     with np.errstate(all="ignore"):
         batch = _objective(state, cid, structure, objective)
-
-        def ratio_at(params) -> float:
-            return float(batch(np.atleast_2d(params))[0])
-
+        # the points to score: an exact minimizer, the tied candidates, or
+        # the start of a search (a warm `init`, or the grid)
+        searched = False
         if k == 0 or batch.quadratic is not None:
-            best = _quadratic_minimizer(batch.quadratic, k) if k else np.zeros(0)
-            best_ratio = ratio_at(best)
-            iterations, converged = 0, True
+            points = (_quadratic_minimizer(batch.quadratic, k) if k else np.zeros(0))[None]
         elif init is None and batch.stationary is not None:
             points = batch.stationary()
-            best, best_ratio = _least(points, batch(points))
-            iterations, converged = 0, True
+        elif init is not None:
+            points, searched = np.array([init], dtype=float), True
         else:
-            if init is not None:
-                best = np.asarray(init, dtype=float)
-                best_ratio = ratio_at(best)
-                if not math.isfinite(best_ratio):
-                    raise ValueError(
-                        f"the {objective} objective is not finite at init {tuple(init)}")
-            else:
-                axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
-                pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")],
-                               axis=1)
-                best, best_ratio = _least(pts, np.concatenate(
-                    [batch(pts[lo:lo + GRID_CHUNK]) for lo in range(0, len(pts), GRID_CHUNK)]))
+            axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
+            points = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+            searched = True
+        best, best_ratio = _least(points, np.concatenate(
+            [batch(points[lo:lo + GRID_CHUNK]) for lo in range(0, len(points), GRID_CHUNK)]))
+        iterations, converged = 0, True
+        if searched:
+            if init is not None and not math.isfinite(best_ratio):
+                raise ValueError(f"the {objective} objective is not finite at init {tuple(init)}")
             # absolute-scale initial simplex: the default one is relative to the
             # start point and degenerates when warm-starting from gains near zero
-            simplex = np.tile(np.asarray(best, dtype=float), (k + 1, 1))
+            simplex = np.tile(best, (k + 1, 1))
             for axis_idx in range(k):
                 simplex[axis_idx + 1, axis_idx] += 0.1
             x, fun, iterations, converged = _nelder_mead(
-                ratio_at, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
+                lambda p: float(batch(p[None])[0]), simplex, xatol=1e-7, fatol=RATIO_TOL,
+                maxiter=2000, maxfev=4000)
             if np.isfinite(fun) and fun <= best_ratio:
                 best, best_ratio = x, fun
 
@@ -551,10 +560,6 @@ class SweepRow:
     param: float
     gains: object
     report: witnesses.WitnessReport
-
-    @property
-    def ent(self) -> float:
-        return self.report.ent_ratio
 
 
 def sweep(builder: str, n: int, criterion: str,

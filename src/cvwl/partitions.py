@@ -56,11 +56,6 @@ class Bipartition:
     def n_modes(self) -> int:
         return len(self.set_a) + len(self.set_b)
 
-    def label(self) -> str:
-        """1-based compact label, e.g. '12|3' for set_a={0,1}, set_b={2}."""
-        fmt = lambda side: ",".join(str(m + 1) for m in sorted(side))
-        return f"{fmt(self.set_a)}|{fmt(self.set_b)}"
-
 
 def _check_modes(n: int):
     if not 2 <= n <= MAX_MODES:
@@ -159,14 +154,3 @@ def steering_bounds(products) -> np.ndarray:
     """Genuine tripartite steering sum bound 2 min_i |h_i g_i| of each row
     of a (B, 3) array of products h_i g_i."""
     return 2.0 * np.min(np.abs(np.atleast_2d(products)), axis=1)
-
-
-def steering_bound(gains: GainVector) -> float:
-    """Genuine tripartite steering bound 2 min_i |h_i g_i| (sum form; the
-    product form is half).  Only defined for three modes."""
-    if gains.n_modes != 3:
-        raise ValueError(
-            "steering bounds are only defined for three modes, "
-            f"got {gains.n_modes}"
-        )
-    return float(steering_bounds(gains.products())[0])

@@ -271,7 +271,9 @@ def evaluator(criterion: str, gains, n: int):
     depend only on the gains, so they are computed here, once; each call
     then checks the state's mode count and forms the left-hand side.  Gains
     at which the bound is not finite are rejected here, and a left-hand side
-    that is not finite by the call.
+    that is not finite by the call, as is a Var u or Var v below zero: from
+    a squeeze of r ~ 9 the rounding of a variance, about eps e^(2r), can
+    pass its value, and the result is past what double precision resolves.
     """
     crit = lookup(criterion)
     rows = crit.gain_row(gains, n)[None]
@@ -289,6 +291,10 @@ def evaluator(criterion: str, gains, n: int):
         lhs = float(lhs[0])
         if not math.isfinite(lhs):
             raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {lhs})")
+        least = min(var_u[0].tolist() + var_v[0].tolist())
+        if least < 0.0:
+            raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); the "
+                             "squeezing is past what double precision resolves")
         if terms.shape[1] == 1:
             details = {"var_u": float(var_u[0, 0]), "var_v": float(var_v[0, 0])}
         else:
@@ -305,7 +311,8 @@ def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
     :func:`equal_split_gains`), (g1, g2, g3) for the three-mode forms and
     c1/c2, (g1..g4) for c9, (g1, g4) for c10, and ignored for c3/c4/c7.
     Unsupplied scalar gains default to zero.  Gains so large that the
-    left-hand side or the bound is not finite are rejected.  This is
+    left-hand side or the bound is not finite are rejected, and so is a
+    variance that rounds below zero.  This is
     :func:`evaluator` bound to the state's mode count and called once.
     """
     return evaluator(criterion, gains, state.n_modes)(state)

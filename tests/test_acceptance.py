@@ -38,10 +38,9 @@ from cvwl import (
     genuine_bound,
     optimize_gains,
     quadrature_variances,
-    steering_bound,
     sweep,
 )
-from cvwl.partitions import Bipartition
+from cvwl.partitions import Bipartition, steering_bounds
 from conftest import random_biseparable_mixture, random_state
 
 R_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -278,9 +277,9 @@ def test_criterion_07_loss_monogamy():
                 ok = False
                 detail = f"{builder}: steering flagged at eta={row.param:.3f}"
         for row in ent_rows:
-            if not row.ent > 0.5:
+            if not row.report.ent_ratio > 0.5:
                 ok = False
-                detail = f"{builder}: Ent={row.ent:.3f} at eta={row.param:.3f}"
+                detail = f"{builder}: Ent={row.report.ent_ratio:.3f} at eta={row.param:.3f}"
     _verdict("criterion 7: no steering and Ent > 0.5 with eta <= 0.5 on the steering pair",
              ok, 20.0, time.time() - start, detail)
 
@@ -309,7 +308,7 @@ def test_criterion_08_soundness_properties():
         low = genuine_bound(gains, n)
         if any(low > biseparable_bound(gains, p) + 1e-12 for p in enumerate_bipartitions(n)):
             violations.append("genuine bound above a bipartition bound")
-        if n == 3 and steering_bound(gains) > low + 1e-12:
+        if n == 3 and steering_bounds(gains.products())[0] > low + 1e-12:
             violations.append("steering bound above the genuine bound")
     _verdict("criterion 8: 1000 biseparable mixtures never flagged; bound ordering holds",
              not violations, 20.0, time.time() - start, "; ".join(violations[:3]))

@@ -285,6 +285,19 @@ class TestExitCodes:
         assert out == ""
         assert "is not finite at these gains" in err and "Warning" not in err
 
+    @pytest.mark.parametrize("command", [
+        "witness --state ghz --n 3 --r 50 --criterion c5 --gains 1,-0.5",
+        "optimize --state ghz --n 3 --r 15 --criterion c5",
+        "optimize --state ghz --n 3 --r 15 --criterion c6",
+    ])
+    def test_variance_rounded_below_zero_exits_2(self, command, capsys):
+        # these printed a negative lhs or ratio, or a product of two negative
+        # variances, with exit 0
+        assert main(command.split()) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "past what double precision resolves" in err and "Warning" not in err
+
     def test_large_r_leaks_no_warning(self, capsys):
         # Var(x) Var(p) overflows at r = 200; warnings are errors in this suite
         assert main(["witness", "--state", "ghz", "--n", "3", "--r", "200",

@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 from cvwl import (
     GainStructure,
     GainVector,
+    SqueezeSpec,
     analytic_gains_epr1,
     analytic_gains_ghz,
     apply_loss,
@@ -21,7 +22,9 @@ from cvwl import (
     evaluate,
     optimize_gains,
     quadrature_variances,
+    squeezed_vacuum,
     sweep,
+    tensor,
     vacuum_state,
 )
 import cvwl.optimizer
@@ -476,13 +479,35 @@ class TestExactSolve:
         assert result.params[0] == pytest.approx(44.23, abs=0.01)
         assert result.params[1] == pytest.approx(-0.830, abs=0.001)
 
+    @pytest.mark.parametrize("cid,n", [("c5", 3), ("c8", 3), ("c8", 5)])
+    def test_uncorrelated_mode_zero_reaches_its_infimum_at_infinity(self, cid, n):
+        # biseparable across mode 0, so the ratio is at least 1; it tends to 1
+        # along a pencil eigenvector with a zero mode-0 gain, and (0, 0) gives 1.5431
+        state = tensor([squeezed_vacuum(SqueezeSpec(0.5, "x")), build_ghz(n - 1, 1.0)])
+        result = optimize_gains(state, cid)
+        assert 1.0 - 1e-9 <= result.ratio <= 1.0 + 1e-6
+        assert result.ent_ratio == evaluate(state, cid, result.gains).ent_ratio
+        assert min(abs(v) for v in result.params) > 1e3
+
     @pytest.mark.parametrize("r", [10.0, 15.0, 50.0])
     def test_tied_ratio_at_large_squeezing_keeps_the_closed_form_gains(self, r):
         # L is positive definite only to rounding here, and Cholesky may
-        # refuse it; the unconstrained minimum is still a candidate
+        # refuse it; the unconstrained minimum is still a candidate.  A
+        # variance may round below zero, and then the result is refused
+        refused = 0
         for cid, n, objective in _tied_ratio_cases():
-            result = optimize_gains(build_ghz(n, r), cid, objective=objective)
-            assert result.params == pytest.approx(analytic_gains_ghz(n, r), abs=1e-6)
+            state, closed_form = build_ghz(n, r), analytic_gains_ghz(n, r)
+            with np.errstate(all="ignore"):
+                points = _objective(state, cid, default_structure(cid, n), objective).stationary()
+            assert np.any(np.all(np.abs(points - closed_form) <= 1e-6, axis=1))
+            try:
+                result = optimize_gains(state, cid, objective=objective)
+            except ValueError as exc:
+                assert "past what double precision resolves" in str(exc)
+                refused += 1
+            else:
+                assert result.params == pytest.approx(closed_form, abs=1e-6)
+        assert refused > 0
 
     def test_no_cold_tied_ratio_search_refines(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
@@ -533,7 +558,8 @@ class TestExactSolve:
     @pytest.mark.parametrize("builder", ["ghz", "epr1", "epr2", "counterexample"])
     def test_products_past_rounding_leak_no_warning(self, builder, r):
         # from r ~ 9.5 a product's Var u Var v may round negative, and its
-        # square root is NaN; warnings are errors in this suite
+        # square root is NaN, or a variance rounds below zero and the result
+        # is refused; warnings are errors in this suite
         state = build_state(builder, 3, r)
         cases = [(cid, "entanglement") for cid in ("s1", "s2", "s3", "c2", "c4", "c6")]
         cases += [("c4", "steering"), ("c4", "lhs"), ("c6", "lhs")]
@@ -541,7 +567,8 @@ class TestExactSolve:
             try:
                 result = optimize_gains(state, cid, objective=objective)
             except ValueError as exc:
-                assert "is not finite at these gains" in str(exc)
+                assert ("is not finite at these gains" in str(exc)
+                        or "past what double precision resolves" in str(exc))
             else:
                 assert math.isfinite(result.ratio)
 
@@ -589,7 +616,7 @@ class TestSweep:
         warm = sweep("ghz", 3, "c5", r_values=values, warm_start=True)
         cold = sweep("ghz", 3, "c5", r_values=values, warm_start=False)
         for a, b in zip(warm, cold):
-            assert a.ent == pytest.approx(b.ent, abs=1e-6)
+            assert a.report.ent_ratio == pytest.approx(b.report.ent_ratio, abs=1e-6)
 
     def test_warm_start_escapes_the_degenerate_zero_row(self):
         # the r=0 optimum is (0, 0); warm-starting the next point from it
@@ -605,7 +632,7 @@ class TestSweep:
         # survives down to small efficiencies
         rows = sweep("epr1", 3, "c5", eta_values=np.linspace(0.1, 1.0, 10),
                      r=2.0, loss_modes=(0,))
-        assert all(row.ent < 1.0 for row in rows)
+        assert all(row.report.ent_ratio < 1.0 for row in rows)
 
     def test_loss_on_steering_pair_kills_steering_at_half(self):
         rows = sweep("ghz", 3, "c5", eta_values=np.linspace(0.05, 0.5, 6),
@@ -616,8 +643,8 @@ class TestSweep:
 
     def test_fixed_gain_sweep(self):
         rows = sweep("epr1", 3, "c3", r_values=(0.5, 1.0), optimize=False)
-        assert rows[0].ent == pytest.approx(2 * math.exp(-1), rel=1e-12)
-        assert rows[1].ent == pytest.approx(2 * math.exp(-2), rel=1e-12)
+        assert rows[0].report.ent_ratio == pytest.approx(2 * math.exp(-1), rel=1e-12)
+        assert rows[1].report.ent_ratio == pytest.approx(2 * math.exp(-2), rel=1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

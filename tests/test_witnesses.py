@@ -379,6 +379,16 @@ class TestEvaluator:
         with pytest.raises(ValueError, match=f"bound to {n} modes"):
             evaluator(cid, None, n)(build_ghz(other, 1.0))
 
+    @pytest.mark.parametrize("cid,r,gains", [
+        ("c5", 50.0, GainVector((1.0, -0.5, -0.5), (1.0, 1.0, 1.0))),
+        ("c6", 15.0, GainVector((1.0, -0.5, -0.5), (1.0, 1.0, 1.0))),
+    ])
+    def test_variance_rounded_below_zero_rejected(self, cid, r, gains):
+        # from r ~ 9 h'Vh rounds to about eps e^(2r), which may lie below zero;
+        # c6 would report a positive product of two negative variances
+        with pytest.raises(ValueError, match="past what double precision resolves"):
+            evaluate(build_ghz(3, r), cid, gains)
+
     @pytest.mark.parametrize("cid,gains", [
         ("c5", GainVector((1.0, 1e300, 1e300), (1.0, 1e300, 1e300))),
         ("c8", GainVector((1.0, 1e200, -1e200, 1e200), (1.0, 1e200, 1e200, -1e200))),
