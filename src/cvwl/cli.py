@@ -60,6 +60,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 R_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+MAX_POINTS = 10**6  # the most values a --values range may hold
 
 
 class ConfigError(ValueError):
@@ -298,7 +299,8 @@ def cmd_optimize(args) -> int:
 def _parse_values(text: str):
     """--values: a comma list, or lo:hi:step with both ends included.  A
     range's last value may round past hi; it is clamped to hi.  A step
-    below the rounding of hi can leave a range empty, which is rejected."""
+    below the rounding of hi can leave a range empty, which is rejected,
+    and so is a range of more than MAX_POINTS values, before any is made."""
     if ":" in text:
         fields = text.split(":")
         if len(fields) != 3:
@@ -307,10 +309,14 @@ def _parse_values(text: str):
             lo, hi, step = (float(v) for v in fields)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from exc
-        if step <= 0 or hi < lo:
+        if not (step > 0 and hi >= lo):  # NaN fails both
             raise argparse.ArgumentTypeError(
                 f"range must have hi >= lo and step > 0, got {text!r}")
-        values = tuple(np.minimum(np.arange(lo, hi + step / 2.0, step), hi))
+        stop = hi + step / 2.0
+        if not (stop - lo) / step <= MAX_POINTS:  # np.arange makes the ceiling of this many
+            raise argparse.ArgumentTypeError(
+                f"range must have at most {MAX_POINTS} points, got {text!r}")
+        values = tuple(np.minimum(np.arange(lo, stop, step), hi).tolist())
     else:
         try:
             values = tuple(float(v) for v in text.split(",") if v.strip())

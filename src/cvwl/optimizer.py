@@ -46,8 +46,9 @@ Every solve first chooses its points (the quadratic's minimizer, the tied
 candidates, a warm ``init`` or the grid), then scores them all with one
 batched call of the objective and keeps the least; only a searched start,
 ``init`` or the best grid point, goes on to refinement.
-The refinement is :func:`_nelder_mead`, a numpy transcription of SciPy's
-Nelder-Mead that gives bitwise the same steps, so no command loads SciPy.
+The refinement is :func:`_nelder_mead`, SciPy's Nelder-Mead step for step,
+so no command loads SciPy; it scores each iteration's candidate points in
+one batched call of the objective.
 """
 
 from __future__ import annotations
@@ -76,77 +77,86 @@ class _MaxFev(Exception):
 
 
 def _nelder_mead(fun, simplex, xatol: float, fatol: float, maxiter: int, maxfev: int):
-    """Minimize `fun` by Nelder-Mead (Comput. J. 7, 308, 1965) from an
-    initial (k + 1, k) simplex; returns (x, fun, iterations, converged).
+    """Minimize `fun`, a batched objective mapping a (B, k) array to (B,)
+    values, by Nelder-Mead (Comput. J. 7, 308, 1965) from an initial
+    (k + 1, k) simplex; returns (x, fun, iterations, converged).
 
-    This is SciPy's ``minimize(method="Nelder-Mead")`` without bounds or
-    adaptive coefficients, operation for operation, so results are bitwise
-    equal: reflection 1, expansion 2, contraction and shrink 1/2; the
-    simplex re-sorted by ``argsort`` after every iteration; the loop ends
-    once every vertex is within `xatol` of the best one and every value
-    within `fatol` of its value.  As there, `iterations` starts at 1, an
-    iteration cut short by the `maxfev` budget keeps the steps it took, and
-    reaching either limit means not converged.
+    The steps are SciPy's ``minimize(method="Nelder-Mead")`` without bounds
+    or adaptive coefficients, operation for operation, so results are
+    bitwise equal wherever a batched row equals a single-row call:
+    reflection 1, expansion 2, contraction and shrink 1/2; the simplex
+    re-sorted by ``argsort`` after every iteration; the loop ends once every
+    vertex is within `xatol` of the best one and every value within `fatol`
+    of its value.  As there, `iterations` starts at 1, an iteration cut
+    short by the `maxfev` budget keeps the steps it took, and reaching
+    either limit means not converged.  Only the scoring is batched: one call
+    for the initial simplex, one per iteration for its reflection,
+    expansion and both contraction points, and one per shrink for its k new
+    vertices; `maxfev` counts the values SciPy asks for, in its order.  The
+    simplex is held as Python floats, which take the same IEEE operations in
+    the same order as SciPy's arrays.
     """
-    sim = np.array(simplex, dtype=float)
-    k = sim.shape[1]
-    fsim = np.full(k + 1, np.inf)
-    calls = 0
+    sim = np.array(simplex, dtype=float).tolist()
+    k = len(sim[0])
+    calls = min(k + 1, maxfev)
+    fsim = fun(np.array(sim))[:calls].tolist() + [math.inf] * (k + 1 - calls)
 
-    def f(x):
+    def spend():
         nonlocal calls
         if calls >= maxfev:
             raise _MaxFev
         calls += 1
-        return fun(x)
 
     def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
-    try:
-        for j in range(k + 1):
-            fsim[j] = f(sim[j])
-    except _MaxFev:
-        pass
     # sorted twice, as SciPy does: argsort need not keep tied values in place
-    sim, fsim = ordered(sim, fsim)
-    sim, fsim = ordered(sim, fsim)
+    sim, fsim = ordered(*ordered(sim, fsim))
     iterations = 1
     while calls < maxfev and iterations < maxiter:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            best, worst = sim[0], sim[-1]
+            if (all(abs(a - b) <= xatol for row in sim[1:] for a, b in zip(row, best))
+                    and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / k
-            xr = 2.0 * xbar - sim[-1]
-            fxr = f(xr)
+            xbar = [0.0] * k  # numpy's add.reduce: summed in row order from +0.0
+            for row in sim[:-1]:
+                xbar = [s + a for s, a in zip(xbar, row)]
+            xbar = [s / k for s in xbar]
+            xr = [2.0 * b - w for b, w in zip(xbar, worst)]
+            xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
+            xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+            xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+            fxr, fxe, fxc, fxcc = fun(np.array([xr, xe, xc, xcc])).tolist()
+            spend()
             if fxr < fsim[0]:
-                xe = 3.0 * xbar - 2.0 * sim[-1]
-                fxe = f(xe)
+                spend()
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
+                spend()
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
+                    xc, fxc = xcc, fxcc
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink toward the best vertex
-                    for j in range(1, k + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                    shrunk = [[b + 0.5 * (a - b) for a, b in zip(row, best)] for row in sim[1:]]
+                    for j, value in enumerate(fun(np.array(shrunk)).tolist(), 1):
+                        sim[j] = shrunk[j - 1]
+                        spend()
+                        fsim[j] = value
             iterations += 1
         except _MaxFev:
             pass
         sim, fsim = ordered(sim, fsim)
-    return sim[0], float(np.min(fsim)), iterations, calls < maxfev and iterations < maxiter
+    # np.min's value: NaN, which sorts last, if any value is NaN
+    least = fsim[0] if fsim[-1] == fsim[-1] else math.nan
+    return np.array(sim[0]), least, iterations, calls < maxfev and iterations < maxiter
 
 
 def analytic_gains_ghz(n: int, r: float):
@@ -513,8 +523,7 @@ def optimize_gains(state: State, criterion: str,
             for axis_idx in range(k):
                 simplex[axis_idx + 1, axis_idx] += 0.1
             x, fun, iterations, converged = _nelder_mead(
-                lambda p: float(batch(p[None])[0]), simplex, xatol=1e-7, fatol=RATIO_TOL,
-                maxiter=2000, maxfev=4000)
+                batch, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
             if np.isfinite(fun) and fun <= best_ratio:
                 best, best_ratio = x, fun
 
@@ -553,7 +562,7 @@ def build_state(name: str, n: int, r: float) -> State:
     return BUILDERS[key](n, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One grid point of a parameter sweep."""
 

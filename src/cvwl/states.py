@@ -56,7 +56,7 @@ class SqueezeSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GainVector:
     """Coefficients of the tested combinations u = sum h_i x_i, v = sum g_i p_i."""
 

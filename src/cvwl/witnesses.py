@@ -49,15 +49,16 @@ from .partitions import genuine_bounds, steering_bounds
 from .states import GainVector, State, second_moments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessReport:
-    """Outcome of one criterion evaluation on one state."""
+    """Outcome of one criterion evaluation on one state: the left-hand
+    side and the bounds it is compared with, and nothing else, as a sweep
+    keeps one per point.  The per-form terms are :func:`batch_terms`'s."""
 
     criterion_id: str
     lhs: float
     ent_bound: float
     steer_bound: float | None = None
-    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.steer_bound is not None and self.steer_bound > self.ent_bound + 1e-12:
@@ -287,7 +288,7 @@ def evaluator(criterion: str, gains, n: int):
         if state.n_modes != n:
             raise ValueError(f"{crit.report_id} was bound to {n} modes, got {state.n_modes}")
         with np.errstate(over="ignore", invalid="ignore"):
-            var_u, var_v, terms, lhs = batch_terms(crit, second_moments(state))(rows)
+            var_u, var_v, _, lhs = batch_terms(crit, second_moments(state))(rows)
         lhs = float(lhs[0])
         if not math.isfinite(lhs):
             raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {lhs})")
@@ -295,11 +296,7 @@ def evaluator(criterion: str, gains, n: int):
         if least < 0.0:
             raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); the "
                              "squeezing is past what double precision resolves")
-        if terms.shape[1] == 1:
-            details = {"var_u": float(var_u[0, 0]), "var_v": float(var_v[0, 0])}
-        else:
-            details = {name: float(t) for (name, _, _), t in zip(crit.forms, terms[0])}
-        return WitnessReport(crit.report_id, lhs, bound, steer, details)
+        return WitnessReport(crit.report_id, lhs, bound, steer)
 
     return report
 

@@ -436,10 +436,26 @@ class TestExitCodes:
         assert len(lines) == 12 and lines[-1].startswith("1,")
 
     def test_range_inside_its_ends_unchanged(self):
-        assert _parse_values("0:1:0.3") == tuple(np.arange(0.0, 1.15, 0.3))
+        values = _parse_values("0:1:0.3")
+        assert values == tuple(np.arange(0.0, 1.15, 0.3))
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("values", ["0:1:1e-12", "0:1:1e-6", "0:inf:1", "-1e308:1e308:1"])
+    def test_ranges_of_too_many_points_exit_2_before_allocating(self, values, monkeypatch,
+                                                                 capsys):
+        # 0:1:1e-12 would be 10^12 values (7.28 TiB); 0:1:1e-6 is one past the limit
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.arange called")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
+                     "--param", "eta", f"--values={values}", "--loss-modes", "2",
+                     "--no-optimize"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at most 1000000 points" in captured.err
 
     @pytest.mark.parametrize("values", ["1:0:0.1", "0:1:0", "0:1:-0.5", "0:1", "0:1:0.1:2",
-                                        "a:1:0.1", "1:1:1e-17"])
+                                        "a:1:0.1", "1:1:1e-17", "0:nan:0.1", "0:1:nan"])
     def test_bad_ranges_exit_2(self, values, capsys):
         assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
                      "--param", "eta", "--values", values, "--loss-modes", "2",
@@ -470,3 +486,15 @@ def test_readme_cli_block_runs(tmp_path):
             argv += ["-o", out]
         assert main(argv) == EXIT_OK, argv
         assert Path(out).read_text().count("\n") >= 2, argv
+
+
+def test_stalled_warm_c6_sweep_matches_its_record(tmp_path):
+    # the warm ghz c6 eta sweep whose points stall: its rows move with any
+    # rounding-level change to the refinement, so they must stay as recorded
+    etas = ",".join(repr(float(v)) for v in np.linspace(1.0, 0.05, 50))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "0.817946", "--criterion", "c6",
+                 "--param", "eta", "--values", etas, "--loss-modes", "2",
+                 "-o", str(out)]) == EXIT_OK
+    record = Path(__file__).resolve().parent / "ref" / "ghz_c6_eta_sweep.csv"
+    assert out.read_text() == record.read_text()

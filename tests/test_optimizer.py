@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from cvwl import (
@@ -22,6 +24,7 @@ from cvwl import (
     evaluate,
     optimize_gains,
     quadrature_variances,
+    second_moments,
     squeezed_vacuum,
     sweep,
     tensor,
@@ -31,8 +34,9 @@ import cvwl.optimizer
 from cvwl.cli import R_GRID
 from cvwl.optimizer import _objective, _tied_pieces, default_structure
 from cvwl.partitions import MAX_MODES
-from cvwl.witnesses import TABLE, VECTOR, batch_bound, lookup
+from cvwl.witnesses import TABLE, VECTOR, batch_bound, batch_terms, lookup
 from conftest import random_state
+from nelder_mead_reference import nelder_mead as reference_nelder_mead
 
 
 class TestAnalyticGains:
@@ -163,7 +167,7 @@ class TestOptimizeGains:
 
     def test_converged_reports_nelder_mead_failure(self, monkeypatch):
         def fail(fun, simplex, **kwargs):
-            return simplex[0], fun(simplex[0]), 7, False
+            return simplex[0], float(fun(simplex[:1])[0]), 7, False
 
         monkeypatch.setattr(cvwl.optimizer, "_nelder_mead", fail)
         result = optimize_gains(build_ghz(3, 1.0), "c5", init=(0.9, -0.45))
@@ -181,9 +185,8 @@ class TestOptimizeGains:
         nelder_mead = cvwl.optimizer._nelder_mead
 
         def spy(fun, simplex, xatol, fatol, maxiter, maxfev):
-            seen.append(minimize(fun, simplex[0], method="Nelder-Mead", options={
-                "xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev,
-                "initial_simplex": simplex}).nit)
+            seen.append(_scipy_nelder_mead(_single(fun), simplex, xatol, fatol, maxiter,
+                                           maxfev)[2])
             return nelder_mead(fun, simplex, xatol, fatol, maxiter, maxfev)
 
         monkeypatch.setattr(cvwl.optimizer, "_nelder_mead", spy)
@@ -232,71 +235,6 @@ def _scipy_nelder_mead(fun, simplex, xatol, fatol, maxiter, maxfev):
     return res.x, res.fun, res.nit, res.success, res.status
 
 
-def _nelder_mead_objectives(rng):
-    """(k, fun) pairs: the tied and epr2 ratio objectives on random states,
-    a 1-parameter slice of the epr2 one, quadratics, and flat or stepped
-    functions whose simplex values tie."""
-    for n in (3, 4):
-        state = random_state(n, rng)
-        cases = [("c8", "tied", "entanglement"), ("c8", "epr2", "entanglement")]
-        if n == 3:
-            cases += [(cid, "tied", objective) for cid in ("c5", "c6")
-                      for objective in ("entanglement", "steering")]
-        for cid, kind, objective in cases:
-            batch = _objective(state, cid, GainStructure(kind, n), objective)
-            yield GainStructure(kind, n).n_params, lambda p, b=batch: float(b(p[None])[0])
-        epr2 = _objective(state, "c8", GainStructure("epr2", n), "entanglement")
-        h0 = float(rng.uniform(-1.0, 1.0))
-        yield 1, lambda p: float(epr2(np.array([[p[0], h0, -h0]]))[0])
-    for k in (1, 2, 3):
-        a = rng.normal(size=(k, k))
-        a = a @ a.T + 0.1 * np.eye(k)
-        b, c = rng.normal(size=k), float(rng.normal())
-        yield k, lambda p, a=a, b=b, c=c: float(c + b @ p + p @ a @ p / 2.0)
-        yield k, lambda p: 1.0
-        yield k, lambda p: float(np.round(np.sum(p * p), 1))
-
-
-def _nelder_mead_cases(rng):
-    """(fun, simplex, xatol, fatol, maxiter, maxfev): random simplices, half
-    with the settings optimize_gains uses and half with limits small enough
-    to stop in any step."""
-    for k, fun in _nelder_mead_objectives(rng):
-        for _ in range(3):
-            centre = rng.uniform(-2.0, 2.0, k)
-            if rng.uniform() < 0.5:  # the absolute-scale simplex optimize_gains uses
-                simplex = np.vstack((centre, centre + 0.1 * np.eye(k)))
-            else:
-                simplex = centre + rng.normal(scale=rng.uniform(0.01, 0.5), size=(k + 1, k))
-            if rng.uniform() < 0.5:
-                yield fun, simplex, 1e-7, 1e-8, 2000, 4000
-            else:
-                xatol, fatol = [(1e-7, 1e-8), (1e-10, 1e-13), (0.0, 0.0)][rng.integers(3)]
-                yield fun, simplex, xatol, fatol, int(rng.integers(1, 30)), int(rng.integers(1, 60))
-    for k in (1, 2, 3):  # shrinks collapse the simplex to a point, which meets zero tolerances
-        yield lambda p: 1.0, rng.normal(size=(k + 1, k)), 0.0, 0.0, 2000, 4000
-
-
-class TestNelderMead:
-    def test_matches_scipy_bit_for_bit(self, rng):
-        statuses = []
-        for fun, simplex, *options in _nelder_mead_cases(rng):
-            x, value, nit, success, status = _scipy_nelder_mead(fun, simplex, *options)
-            got = cvwl.optimizer._nelder_mead(fun, simplex, *options)
-            assert got[0].tobytes() == x.tobytes()
-            assert np.float64(got[1]).tobytes() == np.float64(value).tobytes()
-            assert got[2:] == (nit, success)
-            statuses.append(status)
-        # converged, stopped by maxfev, stopped by maxiter
-        assert min(statuses.count(s) for s in (0, 1, 2)) >= 5
-
-    def test_leaves_the_initial_simplex_alone(self):
-        simplex = np.array([[0.5, 0.5], [0.6, 0.5], [0.5, 0.6]])
-        kept = simplex.copy()
-        cvwl.optimizer._nelder_mead(lambda p: float(p @ p), simplex, 1e-7, 1e-8, 2000, 4000)
-        assert np.array_equal(simplex, kept)
-
-
 def _objective_cases():
     """Every criterion with every structure and objective it supports."""
     for cid, crit in TABLE.items():
@@ -309,6 +247,183 @@ def _objective_cases():
             for kind in kinds:
                 for objective in objectives:
                     yield cid, n, kind, objective
+
+
+def _rowwise(fun):
+    """A scalar objective as a batched one that scores its rows one by one."""
+    return lambda points: np.array([fun(p) for p in points], dtype=float)
+
+
+def _single(batch):
+    """A batched objective as a scalar one: one single-row call per point."""
+    return lambda p: float(batch(p[None])[0])
+
+
+def _nelder_mead_objectives(rng):
+    """(k, batched, scalar) objectives: the tied and epr2 ratio objectives
+    on random states, a 1-parameter slice of the epr2 one, quadratics, and
+    flat or stepped functions whose simplex values tie.  The three-mode
+    tied objectives are batched as they are; every other one scores its
+    rows one by one, so that both forms give the same values."""
+    for n in (3, 4):
+        state = random_state(n, rng)
+        cases = [("c8", "tied", "entanglement"), ("c8", "epr2", "entanglement")]
+        if n == 3:
+            cases += [(cid, "tied", objective) for cid in ("c5", "c6")
+                      for objective in ("entanglement", "steering")]
+        for cid, kind, objective in cases:
+            batch = _objective(state, cid, GainStructure(kind, n), objective)
+            fun = _single(batch)
+            as_is = n == 3 and kind == "tied"
+            yield GainStructure(kind, n).n_params, batch if as_is else _rowwise(fun), fun
+        epr2 = _objective(state, "c8", GainStructure("epr2", n), "entanglement")
+        h0 = float(rng.uniform(-1.0, 1.0))
+        fun = lambda p: float(epr2(np.array([[p[0], h0, -h0]]))[0])  # noqa: E731
+        yield 1, _rowwise(fun), fun
+    for k in (1, 2, 3):
+        a = rng.normal(size=(k, k))
+        a = a @ a.T + 0.1 * np.eye(k)
+        b, c = rng.normal(size=k), float(rng.normal())
+        for fun in (lambda p, a=a, b=b, c=c: float(c + b @ p + p @ a @ p / 2.0),
+                    lambda p: 1.0, lambda p: float(np.round(np.sum(p * p), 1))):
+            yield k, _rowwise(fun), fun
+
+
+def _simplex_and_options(rng, k):
+    """A random (k + 1, k) simplex and (xatol, fatol, maxiter, maxfev): half
+    with the settings optimize_gains uses and half with limits small enough
+    to stop in any step."""
+    centre = rng.uniform(-2.0, 2.0, k)
+    if rng.uniform() < 0.5:  # the absolute-scale simplex optimize_gains uses
+        simplex = np.vstack((centre, centre + 0.1 * np.eye(k)))
+    else:
+        simplex = centre + rng.normal(scale=rng.uniform(0.01, 0.5), size=(k + 1, k))
+    if rng.uniform() < 0.5:
+        return simplex, (1e-7, 1e-8, 2000, 4000)
+    xatol, fatol = [(1e-7, 1e-8), (1e-10, 1e-13), (0.0, 0.0)][rng.integers(3)]
+    return simplex, (xatol, fatol, int(rng.integers(1, 30)), int(rng.integers(1, 60)))
+
+
+def _nelder_mead_cases(rng):
+    """(batched, scalar, simplex, xatol, fatol, maxiter, maxfev)."""
+    for k, batched, fun in _nelder_mead_objectives(rng):
+        for _ in range(3):
+            simplex, options = _simplex_and_options(rng, k)
+            yield batched, fun, simplex, *options
+    for k in (1, 2, 3):  # shrinks collapse the simplex to a point, which meets zero tolerances
+        fun = lambda p: 1.0  # noqa: E731
+        yield _rowwise(fun), fun, rng.normal(size=(k + 1, k)), 0.0, 0.0, 2000, 4000
+    for k in (1, 2, 3):  # budgets spent inside or just after the initial simplex
+        fun = lambda p: float(p @ p)  # noqa: E731
+        for maxfev in range(1, k + 3):
+            yield _rowwise(fun), fun, rng.normal(size=(k + 1, k)), 1e-7, 1e-8, 2000, maxfev
+    # a NaN vertex left in the simplex makes the value NaN, as np.min does
+    walled = lambda p: math.nan if p[0] > 1.0 else float(p @ p)  # noqa: E731
+    for maxiter in (1, 2, 3):
+        yield (_rowwise(walled), walled, np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+               1e-7, 1e-8, maxiter, 4000)
+
+
+def _assert_same_steps(got, want):
+    """Bitwise equal (x, fun) and equal (iterations, converged)."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    assert tuple(got[2:4]) == tuple(want[2:4])
+
+
+class TestNelderMead:
+    def test_matches_scipy_bit_for_bit(self, rng):
+        statuses = []
+        for batched, fun, simplex, *options in _nelder_mead_cases(rng):
+            x, value, nit, success, status = _scipy_nelder_mead(fun, simplex, *options)
+            got = cvwl.optimizer._nelder_mead(batched, simplex, *options)
+            _assert_same_steps(got, (x, value, nit, success))
+            _assert_same_steps(reference_nelder_mead(fun, simplex, *options), got)
+            statuses.append(status)
+        # converged, stopped by maxfev, stopped by maxiter
+        assert min(statuses.count(s) for s in (0, 1, 2)) >= 5
+
+    @given(seed=st.integers(0, 2**32 - 1), cid=st.sampled_from(["c5", "c6", "c8"]),
+           objective=st.sampled_from(["entanglement", "steering"]))
+    @settings(max_examples=60, deadline=None)
+    def test_three_mode_tied_objectives_batched_as_they_are(self, seed, cid, objective):
+        # at three modes a batch's rows are single-row values bit for bit
+        # (see the test below), so the batched objective takes SciPy's steps
+        rng = np.random.default_rng(seed)
+        batch = _objective(random_state(3, rng), cid, GainStructure("tied", 3), objective)
+        simplex, options = _simplex_and_options(rng, 2)
+        got = cvwl.optimizer._nelder_mead(batch, simplex, *options)
+        _assert_same_steps(got, _scipy_nelder_mead(_single(batch), simplex, *options))
+        _assert_same_steps(reference_nelder_mead(_single(batch), simplex, *options), got)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           step=st.sampled_from([0.1, 0.5, 2.0]), wall=st.sampled_from([None, 0.0, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_tied_and_nan_values_keep_scipy_order(self, seed, k, step, wall):
+        # stepped values tie and a NaN past the wall sorts last; the order
+        # argsort gives them picks the best and the reflected vertex, and a
+        # NaN anywhere in the simplex makes the returned value NaN
+        def fun(p):
+            if wall is not None and p[0] > wall:
+                return math.nan
+            return float(np.round(p @ p / step) * step)
+
+        rng = np.random.default_rng(seed)
+        simplex, options = _simplex_and_options(rng, k)
+        got = cvwl.optimizer._nelder_mead(_rowwise(fun), simplex, *options)
+        _assert_same_steps(got, _scipy_nelder_mead(fun, simplex, *options))
+
+    @pytest.mark.parametrize("cid,n,kind,objective",
+                             [case for case in _objective_cases() if case[1] == 3])
+    def test_batched_rows_equal_single_rows_at_three_modes(self, cid, n, kind, objective,
+                                                           rng):
+        structure = GainStructure(kind, n)
+        for state in _states(n, rng):
+            batch = _objective(state, cid, structure, objective)
+            for size in (2, 3, 4):
+                params = rng.uniform(-3.0, 3.0, (size, structure.n_params))
+                want = np.concatenate([batch(params[i:i + 1]) for i in range(size)])
+                assert batch(params).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("kind", ["tied", "epr2"])
+    def test_more_modes_within_rounding_of_the_reference(self, n, kind, rng):
+        # from four modes a batched matrix product may round a row otherwise
+        # than a single-row one, and the steps may part at rounding level
+        structure = GainStructure(kind, n)
+        for state in _states(n, rng):
+            batch = _objective(state, "c8", structure, "entanglement")
+            centre = rng.uniform(-1.5, 1.5, structure.n_params)
+            simplex = np.vstack((centre, centre + 0.1 * np.eye(structure.n_params)))
+            got = cvwl.optimizer._nelder_mead(batch, simplex, 1e-7, 1e-8, 2000, 4000)
+            want = reference_nelder_mead(_single(batch), simplex, 1e-7, 1e-8, 2000, 4000)
+            assert abs(got[1] - want[1]) <= 1e-9 * max(1.0, abs(want[1]))
+
+    def test_scores_each_step_in_one_call(self, rng):
+        sizes = []
+
+        def batched(points):
+            sizes.append(len(points))
+            return np.round(np.einsum("bi,bi->b", points, points), 1)  # stepped: shrinks too
+
+        for k in (1, 2, 3):
+            for _ in range(5):
+                sizes.clear()
+                simplex = rng.normal(size=(k + 1, k))
+                nit = cvwl.optimizer._nelder_mead(batched, simplex, 1e-7, 1e-8, 2000, 4000)[2]
+                # the simplex, then per iteration its four candidate points
+                # and, after a failed contraction, the k shrunk vertices
+                assert sizes[0] == k + 1
+                assert sizes[1:].count(4) == nit - 1
+                assert set(sizes[1:]) <= {4, k}
+                assert all(sizes[i - 1] == 4 for i in range(2, len(sizes)) if sizes[i] == k)
+
+    def test_leaves_the_initial_simplex_alone(self):
+        simplex = np.array([[0.5, 0.5], [0.6, 0.5], [0.5, 0.6]])
+        kept = simplex.copy()
+        cvwl.optimizer._nelder_mead(lambda p: np.einsum("bi,bi->b", p, p), simplex,
+                                    1e-7, 1e-8, 2000, 4000)
+        assert np.array_equal(simplex, kept)
 
 
 class TestBatchedObjective:
@@ -723,10 +838,10 @@ class TestSweep:
         for row, value, state in zip(eta_rows + r_rows, list(etas) + list(rs), states,
                                      strict=True):
             want = evaluate(state, criterion, gains)
-            assert (row.param, row.gains) == (value, gains)
-            assert (row.report.lhs, row.report.ent_bound, row.report.steer_bound,
-                    row.report.details) == (want.lhs, want.ent_bound, want.steer_bound,
-                                            want.details)
+            assert (row.param, row.gains, row.report) == (value, gains, want)
+            crit = lookup(criterion)
+            lhs = batch_terms(crit, second_moments(state))(crit.gain_row(gains, n)[None])[-1]
+            assert row.report.lhs == float(lhs[0])
             assert (row.report.steer_bound is None) == (n != 3)
 
     def test_overflowing_gains_rejected_before_the_first_point(self, monkeypatch):

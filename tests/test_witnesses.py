@@ -13,10 +13,11 @@ from cvwl import (
     equal_split_gains,
     evaluate,
     quadrature_variances,
+    second_moments,
     vacuum_state,
 )
 from cvwl.partitions import Bipartition
-from cvwl.witnesses import CRITERIA, TABLE, VECTOR, WitnessReport, evaluator
+from cvwl.witnesses import CRITERIA, TABLE, VECTOR, WitnessReport, batch_terms, evaluator
 from conftest import random_biseparable_mixture, random_state
 
 
@@ -210,16 +211,26 @@ class TestNPartiteCriterion:
         assert not report.verdict_entanglement
 
 
+def form_terms(state, cid, gains=None):
+    """Each form's term of a criterion at `gains`, by form name."""
+    crit = TABLE[cid]
+    rows = crit.gain_row(gains, state.n_modes)[None]
+    terms = batch_terms(crit, second_moments(state))(rows)[2][0]
+    return dict(zip((name for name, _, _ in crit.forms), terms.tolist(), strict=True))
+
+
 class TestFourModeCriteria:
     def test_c9_vacuum(self):
         report = evaluate(vacuum_state(4), "c9", (0, 0, 0, 0))
-        assert all(v == pytest.approx(4.0) for v in report.details.values())
+        terms = form_terms(vacuum_state(4), "c9", (0, 0, 0, 0))
+        assert len(terms) == 6
+        assert all(v == pytest.approx(4.0) for v in terms.values())
         assert report.ent_ratio == pytest.approx(2.0)
 
     @pytest.mark.parametrize("r", [0.4, 0.8, 1.5])
     def test_c9_ghz_symmetric(self, r):
         report = evaluate(build_ghz(4, r), "c9", (1, 1, 1, 1))
-        values = list(report.details.values())
+        values = list(form_terms(build_ghz(4, r), "c9", (1, 1, 1, 1)).values())
         assert all(v == pytest.approx(values[0], rel=1e-10) for v in values)
         assert report.lhs == pytest.approx(36 * math.exp(-2 * r), rel=1e-12)
         assert report.verdict_entanglement == (3 * math.exp(-2 * r) < 1)
@@ -232,15 +243,18 @@ class TestFourModeCriteria:
 
     def test_c10_vacuum(self):
         report = evaluate(vacuum_state(4), "c10")
-        assert report.details["I"] == pytest.approx(8.0)
-        assert report.details["B_II"] == pytest.approx(4.0)
+        terms = form_terms(vacuum_state(4), "c10")
+        assert terms["I"] == pytest.approx(8.0)
+        assert terms["B_II"] == pytest.approx(4.0)
         assert report.ent_ratio == pytest.approx(3.0)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_c10_epr2_closed_form(self, r):
         report = evaluate(build_epr_type_ii(4, r), "c10", (1.0, -1.0))
-        assert report.details["I"] == pytest.approx(8 * math.exp(-2 * r), rel=1e-12)
-        assert report.details["B_II"] == pytest.approx(2 + 4 * math.exp(-2 * r), rel=1e-12)
+        terms = form_terms(build_epr_type_ii(4, r), "c10", (1.0, -1.0))
+        assert terms["I"] == pytest.approx(8 * math.exp(-2 * r), rel=1e-12)
+        assert terms["B_II"] == pytest.approx(2 + 4 * math.exp(-2 * r), rel=1e-12)
+        assert report.lhs == terms["I"] + terms["B_II"]
         assert report.verdict_entanglement == (r > math.log(6) / 2)
 
     def test_c10_ghz_reports_value(self):
@@ -370,9 +384,10 @@ class TestEvaluator:
             states.append(random_biseparable_mixture(n, rng))
             for state in states:
                 got, want = report_at(state), evaluate(state, cid, gains)
-                assert (got.criterion_id, got.lhs, got.ent_bound, got.steer_bound,
-                        got.details) == (want.criterion_id, want.lhs, want.ent_bound,
-                                         want.steer_bound, want.details)
+                assert got == want
+                # the left-hand side is batch_terms' at the gain row, bit for bit
+                rows = TABLE[cid].gain_row(gains, n)[None]
+                assert got.lhs == float(batch_terms(TABLE[cid], second_moments(state))(rows)[-1][0])
 
     @pytest.mark.parametrize("cid,n,other", [("c8", 4, 5), ("c8", 6, 3), ("c5", 3, 4)])
     def test_state_of_another_size_rejected(self, cid, n, other):
