@@ -6,6 +6,10 @@ by the parser's `type=` functions, except the `--loss MODE ETA` pairs, which
 `_load_state` converts where it applies them.  `build`, `witness` and
 `optimize` take a state from `--state` or `--network`; `sweep` takes a
 `--state` preset, built at each r of an r sweep and once for an eta sweep.
+`--n` and a network file's inputs give at most MAX_MODES = 20 modes.
+`--gains` gives the gains to evaluate at: on `witness` a list or `auto`
+(search them first), on `sweep` a list that fixes them for every point;
+`optimize` searches the gains and takes no `--gains`.
 The reproduce targets (the paper's Tables I-IV and Figs. 4, 5, 10-12) are
 rows of `REPRODUCE`: each target is a list of column groups, and one driver
 evaluates every group at each r of `R_GRID`, building each (preset, modes)
@@ -13,9 +17,10 @@ state once per r.
 
 Exit codes: 0 success, 2 configuration/parse error (among them a squeeze
 parameter that is not finite, is negative, or reaches ln(DBL_MAX/2)/2 ~
-354.545, past which exp(2r) passes half the largest float), 3 numerical
-failure (non-physical state).  Mode indices are 1-based on the command
-line and in network files.
+354.545, past which exp(2r) passes half the largest float, and a mode count
+past MAX_MODES, refused before any state is built), 3 numerical failure
+(non-physical state).  Mode indices are 1-based on the command line and in
+network files, and so are the indices in their error messages.
 
 Network file format (one directive per line, '#' starts a comment):
 
@@ -27,7 +32,8 @@ Network file format (one directive per line, '#' starts a comment):
     loss 1 0.8              # attenuation: mode 1, efficiency 0.8
 
 All `input` lines must precede `bs`/`loss` lines; mode count equals the
-number of inputs.
+number of inputs.  The parser reads the syntax; the rules of the values are
+those of :mod:`cvwl.states` (squeeze parameters and op arguments).
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import optimizer, witnesses
+from . import optimizer, states, witnesses
 from .networks import BeamSplitter, LossChannel, NetworkSpec, execute
 from .optimizer import GainStructure, build_state, default_structure, optimize_gains, sweep
+from .partitions import MAX_MODES
 from .states import (
     SQUEEZE_P,
     SQUEEZE_X,
@@ -77,7 +84,13 @@ class NetworkParseError(ConfigError):
 
 
 def parse_network(text: str) -> NetworkSpec:
-    """Parse the line-oriented network format into a NetworkSpec."""
+    """Parse the line-oriented network format into a NetworkSpec.
+
+    The parser reads the syntax and makes the 1-based mode indices 0-based.
+    The values keep the rules of their owners: an input's r those of
+    SqueezeSpec, a `bs` or `loss` line the op rules of :mod:`cvwl.states`,
+    the input count MAX_MODES.  Each error is placed at the token it
+    names."""
     inputs: list = []
     ops: list = []
 
@@ -90,28 +103,28 @@ def parse_network(text: str) -> NetworkSpec:
             continue
         tokens, cols = zip(*((m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)))
 
-        def number(idx, what, lo=None, hi=None):
+        def token(idx, kind, what):
+            """Token idx converted by `kind` (int or float); `what` is the
+            error's message when it does not convert."""
             try:
-                value = float(tokens[idx])
+                return kind(tokens[idx])
             except ValueError:
-                fail(f"{what} must be a number, got {tokens[idx]!r}", lineno, cols[idx])
-            if lo is not None and not (lo <= value <= hi):
-                fail(f"{what} must lie in [{lo}, {hi}], got {value}", lineno, cols[idx])
-            return value
+                fail(f"{what}, got {tokens[idx]!r}", lineno, cols[idx])
 
-        def mode(idx, what):
+        def ruled(check, *args, at=None):
+            """check(*args), a rule of the library's.  Its error is placed at
+            token `at`, or, from an op rule, at the token of the argument
+            that the rule names."""
             try:
-                value = int(tokens[idx])
-            except ValueError:
-                fail(f"{what} must be an integer, got {tokens[idx]!r}", lineno, cols[idx])
-            if not 1 <= value <= len(inputs):
-                fail(f"{what} {value} out of range 1..{len(inputs)}", lineno, cols[idx])
-            return value - 1
+                return check(*args)
+            except ValueError as exc:
+                fail(str(exc), lineno, cols[1 + exc.arg if at is None else at])
 
         word = tokens[0].lower()
         if word == "input":
             if ops:
                 fail("input lines must precede bs/loss lines", lineno, cols[0])
+            ruled(_mode_count, len(inputs) + 1, at=0)
             if len(tokens) >= 2 and tokens[1].lower() == "vacuum":
                 if len(tokens) != 2:
                     fail("input vacuum takes no further arguments", lineno, cols[2])
@@ -122,26 +135,26 @@ def parse_network(text: str) -> NetworkSpec:
                 axis = tokens[2].lower()
                 if axis not in (SQUEEZE_X, SQUEEZE_P):
                     fail(f"squeeze axis must be 'x' or 'p', got {tokens[2]!r}", lineno, cols[2])
-                r = number(3, "squeeze parameter")
-                try:
-                    inputs.append(SqueezeSpec(r, axis))
-                except ValueError as exc:  # r outside the range SqueezeSpec allows
-                    fail(str(exc), lineno, cols[3])
+                r = token(3, float, "squeeze parameter must be a number")
+                inputs.append(ruled(SqueezeSpec, r, axis, at=3))
             else:
                 fail("expected: input vacuum | input squeeze x|p R", lineno,
                      cols[1] if len(tokens) > 1 else cols[0])
         elif word == "bs":
             if len(tokens) != 4:
                 fail("expected: bs I J R", lineno, cols[min(len(tokens) - 1, 3)])
-            i = mode(1, "mode index")
-            j = mode(2, "mode index")
-            if i == j:
-                fail("beam splitter needs two distinct modes", lineno, cols[2])
-            ops.append(BeamSplitter(i, j, number(3, "reflectivity", 0.0, 1.0)))
+            i, j = (token(k, int, "mode index must be an integer") for k in (1, 2))
+            reflectivity = token(3, float, "reflectivity must be a number")
+            # the op rules count the file's modes from 1, as the file does
+            ruled(states.check_beam_splitter, i, j, reflectivity, len(inputs), 1)
+            ops.append(BeamSplitter(i - 1, j - 1, reflectivity))
         elif word == "loss":
             if len(tokens) != 3:
                 fail("expected: loss MODE ETA", lineno, cols[min(len(tokens) - 1, 2)])
-            ops.append(LossChannel(mode(1, "mode index"), number(2, "efficiency", 0.0, 1.0)))
+            mode = token(1, int, "mode index must be an integer")
+            eta = token(2, float, "efficiency must be a number")
+            ruled(states.check_loss, (mode,), eta, len(inputs), 1)
+            ops.append(LossChannel(mode - 1, eta))
         else:
             fail(f"unknown directive {tokens[0]!r}", lineno, cols[0])
     if not inputs:
@@ -173,46 +186,41 @@ def _load_state(args):
             raise ConfigError(f"cannot read network file: {exc}") from exc
         state = execute(parse_network(text))
     else:
-        state = build_state(args.state, args.n, args.r)
+        state = build_state(args.state, _mode_count(args.n), args.r)
     for mode, eta in args.loss:
         try:
             mode, eta = int(mode), float(eta)
         except ValueError as exc:
             raise ConfigError(f"bad --loss {mode} {eta}: {exc}") from exc
-        state = apply_loss(state, _loss_mode(mode, state.n_modes), eta)
+        states.check_modes((mode,), state.n_modes, first=1)
+        state = apply_loss(state, mode - 1, eta)
     return state
 
 
-def _loss_mode(mode: int, n: int) -> int:
-    """A 1-based --loss or --loss-modes index, checked and made 0-based."""
-    if not 1 <= mode <= n:
-        raise ConfigError(f"loss mode {mode} out of range 1..{n}")
-    return mode - 1
-
-
-def _parse_gain_list(text: str):
-    try:
-        return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad gains list {text!r}: {exc}") from exc
-
-
-def _check_gains_flag(args):
-    """Criteria without gain slots (c3, c4, c7) take no --gains."""
-    if args.gains and witnesses.lookup(args.criterion).slots == ():
-        raise ConfigError(f"{args.criterion} takes no gains; drop --gains")
+def _mode_count(n: int) -> int:
+    """A mode count, from --n or a network file's inputs, checked against
+    MAX_MODES, the most that the bipartition bound takes, before any state
+    is built."""
+    if not 1 <= n <= MAX_MODES:
+        raise ConfigError(f"mode count must lie in 1..{MAX_MODES}, got {n}")
+    return n
 
 
 def _gains_for(args, n: int):
     """The fixed gains an explicit --gains list gives on `n` modes; None when
     --gains is absent or 'auto'.  The list is criterion-specific; for
     c5/c6/c8 it is either a tied pair 'g,h' or the full 2N values
-    h_1..h_N,g_1..g_N."""
-    _check_gains_flag(args)
+    h_1..h_N,g_1..g_N.  Criteria without gain slots (c3, c4, c7) take no
+    --gains."""
+    if args.gains and witnesses.lookup(args.criterion).slots == ():
+        raise ConfigError(f"{args.criterion} takes no gains; drop --gains")
     if not args.gains or args.gains.strip().lower() == "auto":
         return None
     cid = args.criterion
-    values = _parse_gain_list(args.gains)
+    try:
+        values = tuple(float(v) for v in args.gains.replace(";", ",").split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad gains list {args.gains!r}: {exc}") from exc
     if witnesses.lookup(cid).slots is witnesses.VECTOR:
         if len(values) == 2:
             return GainStructure("tied", n).expand(values)
@@ -271,23 +279,22 @@ def cmd_build(args) -> int:
 def cmd_witness(args) -> int:
     state = _load_state(args)
     gains = _gains_for(args, state.n_modes)
-    if args.gains and gains is None:  # --gains auto
+    if args.gains and gains is None:  # --gains auto: the search evaluates its gains
         structure = default_structure(args.criterion, state.n_modes, args.structure)
-        gains = optimize_gains(state, args.criterion, structure=structure,
-                               objective=args.objective).gains
-    report = witnesses.evaluate(state, args.criterion, gains)
+        result = optimize_gains(state, args.criterion, structure=structure,
+                                objective=args.objective)
+        gains, report = result.gains, result.report
+    else:
+        report = witnesses.evaluate(state, args.criterion, gains)
     header, row = _report_row(args.r, args.criterion, gains, report, state.n_modes)
     _write_rows(("criterion",) + header, [(report.criterion_id,) + row], args.output)
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    _check_gains_flag(args)
     state = _load_state(args)
     structure = default_structure(args.criterion, state.n_modes, args.structure)
-    init = _parse_gain_list(args.gains) if args.gains and args.gains.lower() != "auto" else None
-    result = optimize_gains(state, args.criterion, structure=structure, init=init,
-                            objective=args.objective)
+    result = optimize_gains(state, args.criterion, structure=structure, objective=args.objective)
     header = ("criterion", "objective") + structure.param_names + (
         "ratio", "ent", "iterations", "converged")
     row = (result.criterion_id, result.objective) + result.params + (
@@ -330,28 +337,26 @@ def _parse_values(text: str):
 def _parse_modes(text: str):
     """--loss-modes: a comma list of 1-based mode indices."""
     try:
-        modes = tuple(int(v) for v in text.split(",") if v.strip())
+        return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad mode list {text!r}: {exc}") from exc
-    if len(set(modes)) != len(modes):
-        raise argparse.ArgumentTypeError(f"loss modes must not repeat a mode, got {text!r}")
-    return modes
 
 
 def cmd_sweep(args) -> int:
-    gains = _gains_for(args, args.n)
+    n = _mode_count(args.n)
+    gains = _gains_for(args, n)
     kwargs = dict(
         criterion=args.criterion, optimize=gains is None and not args.no_optimize,
-        gains=gains, structure=default_structure(args.criterion, args.n, args.structure),
+        gains=gains, structure=default_structure(args.criterion, n, args.structure),
         objective=args.objective,
     )
     if args.param == "r":
         kwargs.update(r_values=args.values, r=args.r)
     else:
         kwargs.update(eta_values=args.values, r=0.0 if args.r is None else args.r)
-    rows = sweep(args.state, args.n,
-                 loss_modes=tuple(_loss_mode(m, args.n) for m in args.loss_modes), **kwargs)
-    out = [_report_row(row.param, args.criterion, row.gains, row.report, args.n)
+    states.check_modes(args.loss_modes, n, first=1)
+    rows = sweep(args.state, n, loss_modes=tuple(m - 1 for m in args.loss_modes), **kwargs)
+    out = [_report_row(row.param, args.criterion, row.gains, row.report, n)
            for row in rows]
     _write_rows(out[0][0], [cells for _, cells in out], args.output)
     return EXIT_OK
@@ -428,11 +433,11 @@ def cmd_reproduce(args) -> int:
     header = ("target", "r") + tuple(name for names, _, _, _ in groups for name in names)
     rows = []
     for r in R_GRID:
-        states, row = {}, [args.target, r]
+        built, row = {}, [args.target, r]
         for _, preset, n, cells in groups:
-            if (preset, n) not in states:
-                states[preset, n] = build_state(preset, n, r)
-            row.extend(cells(states[preset, n], r))
+            if (preset, n) not in built:
+                built[preset, n] = build_state(preset, n, r)
+            row.extend(cells(built[preset, n], r))
         rows.append(row)
     _write_rows(header, rows, args.output)
     return EXIT_OK
@@ -450,7 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # sweep), so it takes no network file and no --loss
         p.add_argument("--state", choices=sorted(optimizer.BUILDERS), required=sweep,
                        help="state preset (vacuum, ghz, epr1, epr2, counterexample)")
-        p.add_argument("--n", type=int, default=3, help="mode count (default 3)")
+        p.add_argument("--n", type=int, default=3,
+                       help=f"mode count, 1..{MAX_MODES} (default 3)")
         # a sweep hands a given --r to sweep(), which takes none on r sweeps
         p.add_argument("--r", type=float, default=None if sweep else 0.0,
                        help="squeeze parameter (default 0" + ("; eta sweeps only)" if sweep else ")"))
@@ -461,9 +467,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="apply a loss channel (1-based mode, efficiency)")
         p.add_argument("-o", "--output", help="write CSV here instead of stdout")
 
-    def add_criterion_args(p, gains_help):
+    def add_criterion_args(p, gains_help=None):
+        # optimize searches its gains and takes none
         p.add_argument("--criterion", required=True, help="criterion id (b1..b3, s1..s3, c1..c10)")
-        p.add_argument("--gains", help=gains_help)
+        if gains_help:
+            p.add_argument("--gains", help=gains_help)
         p.add_argument("--structure", help="gain structure (tied, free_g3, tied_g, free_g14, epr2)")
         p.add_argument("--objective", default="entanglement",
                        choices=("entanglement", "steering", "lhs"))
@@ -479,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="optimize gains for a criterion on a state")
     add_state_args(p)
-    add_criterion_args(p, "warm-start parameter list")
+    add_criterion_args(p)
     p.set_defaults(run=cmd_optimize)
 
     p = sub.add_parser("sweep", help="evaluate a criterion over an r or eta grid")

@@ -22,6 +22,9 @@ from .states import (
     SqueezeSpec,
     apply_beam_splitter,
     apply_loss,
+    check_beam_splitter,
+    check_loss,
+    check_modes,
     squeezed_vacuum,
     tensor,
     vacuum_state,
@@ -30,29 +33,27 @@ from .states import (
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """Beam splitter of reflectivity R acting on modes (i, j)."""
+    """Beam splitter of reflectivity R acting on modes (i, j), under the
+    rules of :func:`cvwl.states.check_beam_splitter`."""
 
     i: int
     j: int
     reflectivity: float
 
     def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError("beam splitter needs two distinct modes")
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(f"reflectivity must lie in [0, 1], got {self.reflectivity}")
+        check_beam_splitter(self.i, self.j, self.reflectivity)
 
 
 @dataclass(frozen=True)
 class LossChannel:
-    """Attenuation channel of efficiency eta on one mode."""
+    """Attenuation channel of efficiency eta on one mode, under the rules of
+    :func:`cvwl.states.check_loss`."""
 
     mode: int
     eta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.eta}")
+        check_loss((self.mode,), self.eta)
 
 
 NetworkOp = Union[BeamSplitter, LossChannel]
@@ -60,7 +61,8 @@ NetworkOp = Union[BeamSplitter, LossChannel]
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Declarative state recipe: inputs (None marks a vacuum port) + ops."""
+    """Declarative state recipe: inputs (None marks a vacuum port) + ops,
+    whose modes each name one of the inputs."""
 
     inputs: Tuple[Optional[SqueezeSpec], ...]
     ops: Tuple[NetworkOp, ...] = ()
@@ -70,12 +72,8 @@ class NetworkSpec:
         object.__setattr__(self, "ops", tuple(self.ops))
         if not self.inputs:
             raise ValueError("a network needs at least one input")
-        n = len(self.inputs)
         for op in self.ops:
-            modes = (op.i, op.j) if isinstance(op, BeamSplitter) else (op.mode,)
-            for m in modes:
-                if not 0 <= m < n:
-                    raise ValueError(f"op {op!r} references mode {m}, valid range is 0..{n - 1}")
+            check_modes((op.i, op.j) if isinstance(op, BeamSplitter) else (op.mode,), self.n_modes)
 
     @property
     def n_modes(self) -> int:
@@ -95,6 +93,21 @@ def execute(spec: NetworkSpec) -> GaussianState:
     return state
 
 
+def _fan_out(path, trunk_second: bool = False) -> list:
+    """Equal-weight cascade that spreads the trunk on path[0] over the m
+    modes of `path`: splitter k (1-based) mixes the trunk, on path[k - 1],
+    with path[k] at reflectivity R_k = 1/(m + 1 - k), and the trunk goes on
+    from path[k], so that each mode keeps 1/m of the trunk's power.  With
+    `trunk_second` the trunk enters each splitter's second port instead of
+    its first, which flips the sign of the share it leaves behind."""
+    m = len(path)
+    splits = []
+    for k in range(1, m):
+        ports = (path[k], path[k - 1]) if trunk_second else (path[k - 1], path[k])
+        splits.append(BeamSplitter(*ports, 1.0 / (m + 1 - k)))
+    return splits
+
+
 def ghz_network(n: int, r: float) -> NetworkSpec:
     """Cascade producing the N-mode GHZ-type state.
 
@@ -107,8 +120,7 @@ def ghz_network(n: int, r: float) -> NetworkSpec:
     if n < 2:
         raise ValueError(f"GHZ network needs at least 2 modes, got {n}")
     inputs = [SqueezeSpec(r, SQUEEZE_P)] + [SqueezeSpec(r, SQUEEZE_X)] * (n - 1)
-    ops = [BeamSplitter(k - 1, k, 1.0 / (n + 1 - k)) for k in range(1, n)]
-    return NetworkSpec(tuple(inputs), tuple(ops))
+    return NetworkSpec(tuple(inputs), tuple(_fan_out(range(n))))
 
 
 def build_ghz(n: int, r: float) -> GaussianState:
@@ -127,8 +139,7 @@ def epr_type_i_network(n: int, r: float) -> NetworkSpec:
     if n < 3:
         raise ValueError(f"EPR-type-I network needs at least 3 modes, got {n}")
     inputs = [SqueezeSpec(r, SQUEEZE_P), SqueezeSpec(r, SQUEEZE_X)] + [None] * (n - 2)
-    ops = [BeamSplitter(0, 1, 0.5)]
-    ops += [BeamSplitter(k, k + 1, 1.0 / (n - k)) for k in range(1, n - 1)]
+    ops = [BeamSplitter(0, 1, 0.5)] + _fan_out(range(1, n))
     return NetworkSpec(tuple(inputs), tuple(ops))
 
 
@@ -165,20 +176,13 @@ def epr_type_ii_network(n: int, r: float) -> NetworkSpec:
     if n == 3:
         return epr_type_i_network(3, r)
     right, left = right_left_groups(n)
-    m_r, m_l = len(right), len(left)
     inputs: list = [None] * n
     inputs[3] = SqueezeSpec(r, SQUEEZE_P)
     inputs[1] = SqueezeSpec(r, SQUEEZE_X)
     # arm 1' (p-squeezed + x-squeezed)/sqrt(2) lands on slot 3, arm 2' on slot 1
     ops = [BeamSplitter(3, 1, 0.5)]
-    right_splits = [
-        BeamSplitter(right[k - 1], right[k], 1.0 / (m_r - k + 1)) for k in range(1, m_r)
-    ]
-    left_path = list(left[1:]) + [left[0]]
-    left_splits = [
-        BeamSplitter(left_path[k], left_path[k - 1], 1.0 / (m_l - k + 1))
-        for k in range(1, m_l)
-    ]
+    right_splits = _fan_out(right)
+    left_splits = _fan_out(left[1:] + left[:1], trunk_second=True)
     # interleave right/left splits in output-mode order
     for idx in range(max(len(right_splits), len(left_splits))):
         if idx < len(right_splits):

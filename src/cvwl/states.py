@@ -19,7 +19,7 @@ variance; some texts write the same convention as "Delta x = e^{-r}".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -220,6 +220,58 @@ def tensor(states: Sequence[GaussianState]) -> GaussianState:
     return GaussianState(cov)
 
 
+class OpError(ValueError):
+    """An op argument that breaks its rule.  `arg` is the argument's position
+    among the op's arguments: its mode indices in order, then its
+    reflectivity or efficiency."""
+
+    def __init__(self, message: str, arg: int):
+        super().__init__(message)
+        self.arg = arg
+
+
+def check_modes(modes: Sequence[int], n: Optional[int] = None, first: int = 0) -> None:
+    """The rule of an op's modes: they are distinct and, when `n` is given,
+    each names one of n modes counted from `first` (0 in the library, 1 on
+    the command line and in network files, so that a message repeats the
+    index as it was written)."""
+    for k, m in enumerate(modes):
+        if n is not None and not first <= m < n + first:
+            raise OpError(f"mode {m} out of range {first}..{n + first - 1}", k)
+        if m in modes[:k]:
+            raise OpError(f"an op's modes must be distinct, got {tuple(modes)}", k)
+
+
+def _check_fraction(name: str, value: float, arg: int) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise OpError(f"{name} must lie in [0, 1], got {value}", arg)
+
+
+def check_beam_splitter(i: int, j: int, reflectivity: float,
+                        n: Optional[int] = None, first: int = 0) -> None:
+    """The rules of a beam splitter: two distinct modes (see
+    :func:`check_modes`) and a reflectivity in [0, 1]."""
+    check_modes((i, j), n, first)
+    _check_fraction("reflectivity", reflectivity, 2)
+
+
+def check_loss(modes: Sequence[int], eta: float,
+               n: Optional[int] = None, first: int = 0) -> None:
+    """The rules of a loss channel: distinct modes (see :func:`check_modes`)
+    and an efficiency in [0, 1]."""
+    check_modes(modes, n, first)
+    _check_fraction("efficiency", eta, len(modes))
+
+
+def _op_modes(state) -> int:
+    """The mode count of the state an op acts on, which must be a
+    GaussianState: on a mixture, the op would act on each component."""
+    if not isinstance(state, GaussianState):
+        raise ValueError(f"ops act only on a GaussianState (mixtures are not supported), "
+                         f"got {type(state).__name__}")
+    return state.n_modes
+
+
 def apply_beam_splitter(state: GaussianState, i: int, j: int, reflectivity: float) -> GaussianState:
     """Mix modes i and j on a beam splitter of reflectivity R.
 
@@ -227,13 +279,8 @@ def apply_beam_splitter(state: GaussianState, i: int, j: int, reflectivity: floa
     a_j -> sqrt(1-R) a_i - sqrt(R) a_j; the same 2x2 orthogonal map acts on
     the (x_i, x_j) and (p_i, p_j) blocks of the covariance matrix.
     """
-    n = state.n_modes
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"mode indices ({i}, {j}) out of range for {n} modes")
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
+    n = _op_modes(state)
+    check_beam_splitter(i, j, reflectivity, n)
     t = np.sqrt(reflectivity)
     u = np.sqrt(1.0 - reflectivity)
     s = np.eye(2 * n)
@@ -256,20 +303,11 @@ def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: floa
     added to each lossy block ``cov[m::n, m::n]``; the one result is
     validated once.  Every entry takes the same multiplications, in the
     same order, as in the chain of single-mode calls, and a factor of 1 is
-    exact, so the two agree bit for bit, signed zeros included.  Mixtures
-    are rejected.
+    exact, so the two agree bit for bit, signed zeros included.
     """
-    if isinstance(state, MixedState):
-        raise ValueError("loss channels on mixtures are not supported")
-    n = state.n_modes
+    n = _op_modes(state)
     modes = (modes,) if np.ndim(modes) == 0 else tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"loss modes must not repeat a mode, got {modes} (0-based)")
-    for mode in modes:
-        if not 0 <= mode < n:
-            raise ValueError(f"mode index {mode} out of range for {n} modes")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    check_loss(modes, eta, n)
     scale, root = np.ones(2 * n), np.sqrt(eta)
     for mode in modes:
         scale[mode::n] = root

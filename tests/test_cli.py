@@ -15,8 +15,12 @@ from cvwl.cli import (
     main,
     parse_network,
 )
+import cvwl.cli
+import cvwl.networks
+import cvwl.optimizer
 from cvwl.networks import BeamSplitter, LossChannel, ghz_network
 from cvwl.optimizer import BUILDERS
+from cvwl.partitions import MAX_MODES
 from cvwl import GainVector, PhysicalityError, build_ghz, execute, quadrature_variances
 
 GHZ_FILE = """\
@@ -66,7 +70,7 @@ class TestParseNetwork:
     @pytest.mark.parametrize("text,fragment,where", [
         ("input vacuum\nbs 1 3 0.5\n", "out of range", (2, 6)),
         ("input vacuum\ninput vacuum\nbs 1 1 0.5\n", "distinct", (3, 6)),
-        ("input vacuum\ninput vacuum\nbs 1 2 1.5\n", "[0.0, 1.0]", (3, 8)),
+        ("input vacuum\ninput vacuum\nbs 1 2 1.5\n", "[0, 1]", (3, 8)),
         ("input squeeze y 1.0\n", "axis", (1, 15)),
         ("warp 1\n", "unknown directive", (1, 1)),
         ("input vacuum\nloss 1 0.5\ninput vacuum\n", "precede", (3, 1)),
@@ -82,6 +86,9 @@ class TestParseNetwork:
         ("input vacuum\ninput vacuum\nbs 1 x 0.5\n", "must be an integer", (3, 6)),
         # exp(2r) would pass half the largest float
         ("input squeeze x 400\n", "below 354.54478", (1, 17)),
+        pytest.param("input vacuum\n" * MAX_MODES + "input squeeze x 1.0\n",
+                     f"mode count must lie in 1..{MAX_MODES}, got {MAX_MODES + 1}",
+                     (MAX_MODES + 1, 1), id="past-the-mode-ceiling"),
     ])
     def test_errors_carry_location(self, text, fragment, where):
         with pytest.raises(NetworkParseError) as err:
@@ -260,6 +267,47 @@ class TestExitCodes:
         assert main(["witness", "--network", str(path), "--criterion", "c3"]) == EXIT_CONFIG
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.fixture
+    def refuse_states(self, monkeypatch):
+        """Make every way to build a state fail, so that a command that
+        builds one before it exits shows it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        for module, name in ((cvwl.networks, "execute"), (cvwl.networks, "tensor"),
+                             (cvwl.cli, "execute"), (cvwl.optimizer, "vacuum_state")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("n", ["0", "21", "2000", "100000"])
+    @pytest.mark.parametrize("argv", [
+        "build --state vacuum", "build --state ghz --r 1", "witness --state ghz --criterion c3",
+        "optimize --state epr1 --r 1 --criterion c8",
+        "sweep --state ghz --criterion c3 --values 0.5 --no-optimize",
+    ])
+    def test_mode_count_past_the_ceiling_exits_2_before_building(self, argv, n, refuse_states,
+                                                                 capsys):
+        # at --n 100000 the vacuum's covariance alone would take 320 GB
+        assert main(argv.split() + ["--n", n]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"mode count must lie in 1..{MAX_MODES}, got {n}" in captured.err
+
+    def test_network_past_the_ceiling_exits_2_before_building(self, tmp_path, refuse_states,
+                                                             capsys):
+        path = tmp_path / "net.txt"
+        path.write_text("input squeeze x 1.0\n" * (MAX_MODES + 1) + "bs 1 2 0.5\n")
+        assert main(["build", "--network", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {MAX_MODES + 1}, column 1: mode count" in captured.err
+
+    def test_mode_ceiling_itself_builds(self, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        path.write_text("input vacuum\n" * MAX_MODES)
+        for argv in (["--network", str(path)], ["--state", "ghz", "--n", str(MAX_MODES)]):
+            assert main(["build"] + argv) == EXIT_OK
+            assert len(capsys.readouterr().out.splitlines()) == 2 * MAX_MODES + 1
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         # exp(2r) would pass half the largest float: a configuration error
         assert main(["witness", "--state", "ghz", "--n", "3", "--r", "400",
@@ -311,10 +359,7 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command,criterion,gains", [
-        ("optimize", "c1", "1,nan,0"),
-        ("optimize", "c5", "1,inf"),
         ("witness", "c5", "1e300,1e300"),
-        ("optimize", "c5", "1e300,1e300"),
         ("sweep", "c5", "1e300,1e300"),
     ])
     def test_non_finite_or_overflowing_gains_exit_2(self, command, criterion, gains, capsys):
@@ -346,7 +391,7 @@ class TestExitCodes:
                      "--param", "eta", "--values", "0.5"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("command", ["witness", "sweep", "optimize"])
+    @pytest.mark.parametrize("command", ["witness", "sweep"])
     @pytest.mark.parametrize("criterion", ["c3", "c4", "c7"])
     def test_gains_for_criteria_without_gain_slots(self, command, criterion, capsys):
         argv = [command, "--state", "ghz", "--n", "3", "--r", "1",
@@ -358,6 +403,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "takes no gains" in captured.err
 
+    @pytest.mark.parametrize("criterion,gains", [
+        ("c1", "5,5,5"), ("c1", "1,nan,0"), ("c3", "5,5"), ("c4", "5,5"), ("c5", "1,inf"),
+        ("c7", "5,5"), ("c8", "-1.409,-1.131"), ("c8", "auto"),
+    ])
+    def test_optimize_takes_no_gains(self, criterion, gains, capsys):
+        # optimize searches the gains, and `witness --gains` evaluates at
+        # given ones; a warm start is the library's, optimize_gains(init=)
+        assert main(["optimize", "--state", "ghz", "--n", "4", "--r", "1",
+                     "--criterion", criterion, f"--gains={gains}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --gains" in captured.err
+
     def test_repeated_loss_modes(self, capsys):
         # a repeated mode would apply its loss twice (efficiency 0.25 here)
         assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
@@ -365,7 +423,7 @@ class TestExitCodes:
                      "--no-optimize"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "repeat" in captured.err
+        assert "distinct" in captured.err
 
     def test_repeated_loss_modes_are_one_based(self, capsys):
         assert main(["sweep", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c3",
@@ -373,7 +431,7 @@ class TestExitCodes:
                      "--no-optimize"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'3,1,3'" in captured.err
+        assert "(3, 1, 3)" in captured.err
         assert "0-based" not in captured.err
 
     def test_r_sweep_rejects_r(self, capsys):
@@ -404,7 +462,7 @@ class TestExitCodes:
                      "--no-optimize"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "loss mode 7 out of range 1..3" in captured.err
+        assert "mode 7 out of range 1..3" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["build", "--loss", "1", "0.5"],

@@ -18,7 +18,21 @@ from cvwl import (
     quadrature_variances,
     second_moments,
 )
-from cvwl.networks import LossChannel, epr_type_ii_network, ghz_network, right_left_groups
+from cvwl.cli import NetworkParseError, parse_network
+from cvwl.networks import (
+    LossChannel,
+    epr_type_i_network,
+    epr_type_ii_network,
+    ghz_network,
+    right_left_groups,
+)
+from cvwl.states import (
+    apply_beam_splitter,
+    apply_loss,
+    check_beam_splitter,
+    check_loss,
+    vacuum_state,
+)
 from conftest import permute_modes
 
 R_VALUES = (0.0, 0.3, 1.0, 2.0)
@@ -240,3 +254,127 @@ class TestNetworkExecution:
             NetworkSpec((None, None), (BeamSplitter(0, 2, 0.5),))
         with pytest.raises(ValueError):
             NetworkSpec((), ())
+
+
+def _message(call):
+    """The message of the ValueError that call() raises."""
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+def _op(modes, value, n=2):
+    """One op on n modes, given by its 0-based modes: a beam splitter of
+    reflectivity `value` (two modes) or a loss of efficiency `value` (one
+    mode).  Returns the owner's rule (called with the modes as a network
+    file counts them, from `first`), the library op on the vacuum, the op
+    type in a NetworkSpec, and the op's network file: (rule, library,
+    spec, text)."""
+    if len(modes) == 2:
+        def rule(first):
+            return check_beam_splitter(*(m + first for m in modes), value, n, first=first)
+
+        def library():
+            return apply_beam_splitter(vacuum_state(n), *modes, value)
+
+        def spec():
+            return NetworkSpec((None,) * n, (BeamSplitter(*modes, value),))
+        word = "bs"
+    else:
+        def rule(first):
+            return check_loss(tuple(m + first for m in modes), value, n, first=first)
+
+        def library():
+            return apply_loss(vacuum_state(n), modes[0], value)
+
+        def spec():
+            return NetworkSpec((None,) * n, (LossChannel(modes[0], value),))
+        word = "loss"
+    line = " ".join([word] + [str(m + 1) for m in modes] + [repr(value)])
+    return rule, library, spec, "input vacuum\n" * n + line + "\n"
+
+
+def _located(text, token):
+    """The (line, column, message) of the error parse_network raises, with
+    the line and column it must have: the last line, at token `token`."""
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(text)
+    last = text.splitlines()[-1]
+    column = len(" ".join(last.split()[:token])) + 2 if token else 1
+    found = (err.value.line, err.value.column, str(err.value).split(": ", 1)[1])
+    return found, (len(text.splitlines()), column)
+
+
+class TestOpRules:
+    """Each rule of an op's arguments is stated once, in cvwl.states.  The
+    library ops, the op types, NetworkSpec and the network parser raise its
+    message; the parser places it at the token it names and counts modes
+    from 1, as the file does."""
+
+    def check(self, modes, value, token):
+        """The rule that (modes, value) breaks: the library op, the op type
+        (in a NetworkSpec) and the parser raise the owner's message, the
+        parser at token `token` of the op's line."""
+        rule, library, spec, text = _op(modes, value)
+        owner = _message(lambda: rule(0))
+        assert _message(library) == owner
+        assert _message(spec) == owner
+        found, where = _located(text, token)
+        assert found == where + (_message(lambda: rule(1)),)
+        return owner
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, -math.inf, math.nan])
+    def test_reflectivity_lies_in_the_unit_interval(self, value):
+        owner = self.check((0, 1), value, 3)
+        assert owner == f"reflectivity must lie in [0, 1], got {value}"
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.inf, math.nan])
+    def test_efficiency_lies_in_the_unit_interval(self, value):
+        owner = self.check((0,), value, 2)
+        assert owner == f"efficiency must lie in [0, 1], got {value}"
+        assert _message(lambda: apply_loss(vacuum_state(2), (0, 1), value)) == owner
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_modes_are_distinct(self, i):
+        owner = self.check((i, i), 0.5, 2)
+        assert owner == f"an op's modes must be distinct, got ({i}, {i})"
+        # a loss on several modes: LossChannel and the file take one mode
+        owner = _message(lambda: check_loss((i, 2, i), 0.5))
+        assert owner == f"an op's modes must be distinct, got ({i}, 2, {i})"
+        assert _message(lambda: apply_loss(vacuum_state(3), (i, 2, i), 0.5)) == owner
+
+    @pytest.mark.parametrize("modes,bad", [((0, 2), 1), ((2, 0), 0), ((-1, 0), 0),
+                                           ((2,), 0), ((-1,), 0), ((7,), 0)])
+    def test_modes_lie_in_range(self, modes, bad):
+        owner = self.check(modes, 0.5, bad + 1)
+        assert owner == f"mode {modes[bad]} out of range 0..1"
+
+    @pytest.mark.parametrize("state", [build_counterexample(0.5), np.eye(6), None])
+    def test_ops_act_only_on_a_gaussian_state(self, state):
+        owner = _message(lambda: apply_loss(state, 0, 0.5))
+        assert "act only on a GaussianState" in owner
+        assert f"got {type(state).__name__}" in owner
+        assert _message(lambda: apply_beam_splitter(state, 0, 1, 0.5)) == owner
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_cascades_keep_their_closed_forms(self, n):
+        # each fan-out written out on its own, the reference for the one
+        # cascade that builds them all
+        def bs(i, j, reflectivity):
+            return BeamSplitter(i, j, reflectivity)
+
+        assert ghz_network(n, 1.0).ops == tuple(bs(k - 1, k, 1.0 / (n + 1 - k))
+                                                for k in range(1, n))
+        if n >= 3:
+            assert epr_type_i_network(n, 1.0).ops == (bs(0, 1, 0.5),) + tuple(
+                bs(k, k + 1, 1.0 / (n - k)) for k in range(1, n - 1))
+        if n < 4:  # epr2 is epr1 at three modes
+            return
+        right, left = right_left_groups(n)
+        path = list(left[1:]) + [left[0]]
+        right_ops = [bs(right[k - 1], right[k], 1.0 / (len(right) - k + 1))
+                     for k in range(1, len(right))]
+        left_ops = [bs(path[k], path[k - 1], 1.0 / (len(left) - k + 1))
+                    for k in range(1, len(left))]
+        interleaved = [op for pair in zip(right_ops, left_ops + [None]) for op in pair if op]
+        assert epr_type_ii_network(n, 1.0).ops == (bs(3, 1, 0.5),) + tuple(interleaved)

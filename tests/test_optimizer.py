@@ -161,6 +161,17 @@ class TestOptimizeGains:
         warm = optimize_gains(state, "c5", init=(0.9, -0.45))
         assert warm.ent_ratio == pytest.approx(cold.ent_ratio, abs=1e-6)
 
+    @pytest.mark.parametrize("criterion,init,fragment", [
+        ("c1", (1.0, math.nan, 0.0), "finite values"),
+        ("c5", (1.0, math.inf), "finite values"),
+        ("c5", (1e300, 1e300), "not finite at init"),
+    ])
+    def test_non_finite_init_is_refused(self, criterion, init, fragment):
+        # a warm start is the library's alone: sweep seeds each point after
+        # the first with the previous optimum
+        with pytest.raises(ValueError, match=fragment):
+            optimize_gains(build_ghz(3, 1.0), criterion, init=init)
+
     def test_bad_objective(self):
         with pytest.raises(ValueError):
             optimize_gains(vacuum_state(3), "c5", objective="magic")
@@ -203,13 +214,11 @@ class TestOptimizeGains:
         assert out.strip() == "[]"
 
     def test_refining_commands_run_with_scipy_blocked(self):
-        # a warm eta sweep, a warm start and an epr2 grid search each refine
+        # a warm eta sweep and an epr2 grid search each refine
         src = Path(cvwl.optimizer.__file__).resolve().parents[1]
         runs = [
             ["sweep", "--state", "ghz", "--n", "3", "--r", "0.8", "--criterion", "c5",
              "--param", "eta", "--values", "1,0.9,0.8", "--loss-modes", "1"],
-            ["optimize", "--state", "ghz", "--n", "3", "--r", "1", "--criterion", "c5",
-             "--gains", "0.9,-0.45"],
             ["optimize", "--state", "epr2", "--n", "4", "--r", "1", "--criterion", "c8",
              "--structure", "epr2"],
         ]
@@ -225,7 +234,7 @@ class TestOptimizeGains:
                 "    print(code, len(calls) - before)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
-        assert out.split("\n")[:-1] == ["0 2", "0 1", "0 1"]
+        assert out.split("\n")[:-1] == ["0 2", "0 1"]
 
 
 def _scipy_nelder_mead(fun, simplex, xatol, fatol, maxiter, maxfev):
@@ -770,7 +779,7 @@ class TestSweep:
             sweep("ghz", 3, "c5", eta_values=(0.5,))
 
     def test_repeated_loss_mode_rejected(self):
-        with pytest.raises(ValueError, match="repeat"):
+        with pytest.raises(ValueError, match="distinct"):
             sweep("ghz", 3, "c3", eta_values=(0.5,), r=1.0, loss_modes=(1, 1), optimize=False)
 
     @pytest.mark.parametrize("extra", [dict(loss_modes=(1,)), dict(r=1.0)])

@@ -237,7 +237,7 @@ class TestLoss:
             loss_by_fancy_index(state, modes, eta).tobytes()
 
     def test_invalid_mode_lists(self):
-        with pytest.raises(ValueError, match="repeat"):
+        with pytest.raises(ValueError, match="distinct"):
             apply_loss(vacuum_state(3), (1, 2, 1), 0.5)
         with pytest.raises(ValueError, match="out of range"):
             apply_loss(vacuum_state(3), (0, 3), 0.5)
