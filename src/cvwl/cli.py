@@ -52,15 +52,7 @@ from . import optimizer, states, witnesses
 from .networks import BeamSplitter, LossChannel, NetworkSpec, execute
 from .optimizer import GainStructure, build_state, default_structure, optimize_gains, sweep
 from .partitions import MAX_MODES
-from .states import (
-    SQUEEZE_P,
-    SQUEEZE_X,
-    GainVector,
-    PhysicalityError,
-    SqueezeSpec,
-    apply_loss,
-    second_moments,
-)
+from .states import GainVector, PhysicalityError, SqueezeSpec, apply_loss, second_moments
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,13 +104,18 @@ def parse_network(text: str) -> NetworkSpec:
                 fail(f"{what}, got {tokens[idx]!r}", lineno, cols[idx])
 
         def ruled(check, *args, at=None):
-            """check(*args), a rule of the library's.  Its error is placed at
-            token `at`, or, from an op rule, at the token of the argument
-            that the rule names."""
+            """check(*args), a rule of the library's.  An error that names
+            its argument (:class:`states.OpError`) is placed at that
+            argument's token: token at[arg] when `at` is a tuple, else token
+            1 + arg, where an op writes it.  Any other error is placed at
+            token `at`."""
             try:
                 return check(*args)
             except ValueError as exc:
-                fail(str(exc), lineno, cols[1 + exc.arg if at is None else at])
+                arg = getattr(exc, "arg", None)
+                if arg is not None:
+                    at = at[arg] if isinstance(at, tuple) else 1 + arg
+                fail(str(exc), lineno, cols[at])
 
         word = tokens[0].lower()
         if word == "input":
@@ -132,11 +129,9 @@ def parse_network(text: str) -> NetworkSpec:
             elif len(tokens) >= 2 and tokens[1].lower() == "squeeze":
                 if len(tokens) != 4:
                     fail("expected: input squeeze x|p R", lineno, cols[min(len(tokens) - 1, 3)])
-                axis = tokens[2].lower()
-                if axis not in (SQUEEZE_X, SQUEEZE_P):
-                    fail(f"squeeze axis must be 'x' or 'p', got {tokens[2]!r}", lineno, cols[2])
                 r = token(3, float, "squeeze parameter must be a number")
-                inputs.append(ruled(SqueezeSpec, r, axis, at=3))
+                # SqueezeSpec names r (token 3) or the axis (token 2)
+                inputs.append(ruled(SqueezeSpec, r, tokens[2].lower(), at=(3, 2)))
             else:
                 fail("expected: input vacuum | input squeeze x|p R", lineno,
                      cols[1] if len(tokens) > 1 else cols[0])

@@ -63,7 +63,9 @@ import numpy as np
 
 from . import networks, witnesses
 from .networks import build_counterexample, build_epr_type_i, build_epr_type_ii, build_ghz
-from .states import GainVector, State, apply_loss, second_moments, vacuum_state
+from .partitions import BLOCK_SUMS
+from .states import (GainVector, GaussianState, State, lossy_covariances, second_moments,
+                     vacuum_state)
 
 GRID_RANGE = (-2.0, 2.0)
 GRID_STEP = 0.05
@@ -94,7 +96,11 @@ def _nelder_mead(fun, simplex, xatol: float, fatol: float, maxiter: int, maxfev:
     expansion and both contraction points, and one per shrink for its k new
     vertices; `maxfev` counts the values SciPy asks for, in its order.  The
     simplex is held as Python floats, which take the same IEEE operations in
-    the same order as SciPy's arrays.
+    the same order as SciPy's arrays.  Tied vertices are ordered as the
+    host's ``argsort`` orders them, as in SciPy, and numpy's default sort is
+    not stable everywhere: on AVX-512 hosts it may reorder ties of four
+    values.  So a 3-parameter ("epr2") refinement whose simplex values tie
+    can take other steps, and return other gains, on another host.
     """
     sim = np.array(simplex, dtype=float).tolist()
     k = len(sim[0])
@@ -586,41 +592,62 @@ def sweep(builder: str, n: int, criterion: str,
     Exactly one of `r_values` (state squeezing sweep, which builds the
     preset at each value and takes no `r` or `loss_modes`) or `eta_values`
     (loss sweep at fixed `r`, applying efficiency eta once to each mode in
-    `loss_modes`, 0-based and distinct) must be given.  An eta sweep builds
-    its lossless state once and makes one :func:`apply_loss` call per point.
-    Without `optimize`, the criterion is bound to `gains` once
-    (:func:`witnesses.evaluator`), so the gain row and the bounds are
-    computed before the first point and each point forms only its left-hand
-    side; gains at which the bound is not finite raise ValueError there,
-    before the first point.  With `optimize`, each point is gain-optimized;
-    `warm_start` seeds each point with the previous optimum (the first point
-    is solved cold: exactly for the tied structure, by grid and refinement
-    for "epr2"; an exact quadratic solve ignores the seed).
+    `loss_modes`, 0-based and distinct) must be given.  The points are
+    taken in blocks of BLOCK_SUMS // (2N)^2, which keeps a block's matrices
+    within BLOCK_SUMS entries.  An eta sweep builds its lossless state once
+    and forms each block's covariances in one pass
+    (:func:`states.lossy_covariances`, which checks every efficiency of the
+    block first); every point's state is validated on its own, bit for bit
+    the state :func:`states.apply_loss` gives.  Without `optimize`, the
+    criterion is bound to `gains` once (:func:`witnesses.evaluator`), so the
+    gain row and the bounds are computed before the first point, and each
+    block's left-hand sides are formed in one batched call; gains at which
+    the bound is not finite raise ValueError there, before the first point.
+    With `optimize`, each point is gain-optimized on its own; `warm_start`
+    seeds each point with the previous optimum (the first point is solved
+    cold: exactly for the tied structure, by grid and refinement for
+    "epr2"; an exact quadratic solve ignores the seed).
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")
     if r_values is not None:
         if r is not None or loss_modes:
             raise ValueError("r sweeps build the state at each value; they take no r or loss_modes")
-        values, state_at = r_values, lambda value: build_state(builder, n, value)
+
+        def block_states(block):
+            states = (build_state(builder, n, value) for value in block)
+            return np.empty((len(block), 2 * n, 2 * n)), states
     else:
         if r is None:
             raise ValueError("eta sweeps need the base squeeze parameter r")
         if not loss_modes:
             raise ValueError("eta sweeps need at least one loss mode")
         base = build_state(builder, n, r)
-        values, state_at = eta_values, lambda eta: apply_loss(base, loss_modes, eta)
 
+        def block_states(block):
+            covs = lossy_covariances(base, loss_modes, block)
+            return covs, (GaussianState(cov) for cov in covs)
+
+    values = list(eta_values if r_values is None else r_values)
     report_at = None if optimize else witnesses.evaluator(criterion, gains, n)
+    step = max(1, BLOCK_SUMS // (2 * n) ** 2)
     rows, prev = [], None
-    for value in values:
-        state = state_at(value)
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        # a buffer of the block's matrices, and its states, each built and
+        # validated only as it is reached: one state of the block is held at a time
+        moments, states = block_states(block)
         if report_at is not None:
-            rows.append(SweepRow(value, gains, report_at(state)))
-            continue
-        result = optimize_gains(state, criterion, structure=structure, init=prev,
-                                objective=objective)
-        rows.append(SweepRow(value, result.gains, result.report))
-        if warm_start:
-            prev = result.params or None
+            for k, state in enumerate(states):
+                moments[k] = second_moments(state)  # over its unvalidated matrix
+            rows.extend(SweepRow(value, gains, report)
+                        for value, report in zip(block, report_at(moments)))
+        else:
+            for value, state in zip(block, states):
+                result = optimize_gains(state, criterion, structure=structure, init=prev,
+                                        objective=objective)
+                rows.append(SweepRow(value, result.gains, result.report))
+                if warm_start:
+                    prev = result.params or None
+        del moments, states  # freed before the next block's are made
     return rows

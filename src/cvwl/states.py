@@ -38,22 +38,32 @@ class PhysicalityError(ValueError):
     or the per-mode uncertainty bound)."""
 
 
+class OpError(ValueError):
+    """An argument that breaks its rule.  `arg` is the argument's position:
+    among an op's arguments, its mode indices in order, then its
+    reflectivity or efficiency; among a :class:`SqueezeSpec`'s, 0 for r and
+    1 for the orientation."""
+
+    def __init__(self, message: str, arg: int):
+        super().__init__(message)
+        self.arg = arg
+
+
 @dataclass(frozen=True)
 class SqueezeSpec:
-    """Single-mode squeezed vacuum; `orientation` names the squeezed quadrature."""
+    """Single-mode squeezed vacuum; `orientation` names the squeezed quadrature.
+    A bad argument raises :class:`OpError` naming it, the orientation first."""
 
     r: float
     orientation: str = SQUEEZE_X
 
     def __post_init__(self):
-        if not 0.0 <= self.r < _R_LIMIT:
-            raise ValueError(f"squeeze parameter must be finite, nonnegative and below "
-                             f"{_R_LIMIT!r}, got {self.r}")
         if self.orientation not in (SQUEEZE_X, SQUEEZE_P):
-            raise ValueError(
-                f"orientation must be {SQUEEZE_X!r} or {SQUEEZE_P!r}, "
-                f"got {self.orientation!r}"
-            )
+            raise OpError(f"orientation, the squeezed axis, must be {SQUEEZE_X!r} or "
+                          f"{SQUEEZE_P!r}, got {self.orientation!r}", 1)
+        if not 0.0 <= self.r < _R_LIMIT:
+            raise OpError(f"squeeze parameter must be finite, nonnegative and below "
+                          f"{_R_LIMIT!r}, got {self.r}", 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,16 +230,6 @@ def tensor(states: Sequence[GaussianState]) -> GaussianState:
     return GaussianState(cov)
 
 
-class OpError(ValueError):
-    """An op argument that breaks its rule.  `arg` is the argument's position
-    among the op's arguments: its mode indices in order, then its
-    reflectivity or efficiency."""
-
-    def __init__(self, message: str, arg: int):
-        super().__init__(message)
-        self.arg = arg
-
-
 def check_modes(modes: Sequence[int], n: Optional[int] = None, first: int = 0) -> None:
     """The rule of an op's modes: they are distinct and, when `n` is given,
     each names one of n modes counted from `first` (0 in the library, 1 on
@@ -292,31 +292,43 @@ def apply_beam_splitter(state: GaussianState, i: int, j: int, reflectivity: floa
     return GaussianState(s @ state.cov @ s.T)
 
 
-def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: float) -> GaussianState:
-    """Attenuation channel a -> sqrt(eta) a + sqrt(1-eta) a_vac on each of `modes`.
+def lossy_covariances(state: GaussianState, modes: Union[int, Sequence[int]],
+                      etas: Sequence[float]) -> np.ndarray:
+    """The covariance of the attenuation channel at each efficiency of
+    `etas`, in one broadcast pass: an (E, 2N, 2N) stack, not validated.
 
-    `modes` is one 0-based mode index or a sequence of distinct ones.  Cross
+    `modes` is one 0-based mode index or a sequence of distinct ones; every
+    efficiency is checked, in order, before any matrix is formed.  Cross
     covariances with other modes scale by sqrt(eta) per lossy mode, and each
     lossy mode's own 2x2 block becomes eta * block + (1 - eta) * I.  The
-    copied matrix is scaled by a vector, sqrt(eta) on the lossy quadratures
-    and 1 elsewhere, first by rows and then by columns, and the noise is
-    added to each lossy block ``cov[m::n, m::n]``; the one result is
-    validated once.  Every entry takes the same multiplications, in the
-    same order, as in the chain of single-mode calls, and a factor of 1 is
-    exact, so the two agree bit for bit, signed zeros included.
+    matrix is scaled by one vector per efficiency, sqrt(eta) on the lossy
+    quadratures and 1 elsewhere, first by rows and then by columns, and the
+    noise is added to each lossy block ``cov[..., m::n, m::n]``.  Each entry
+    takes the same multiplications, in the same order, whatever the other
+    efficiencies of the pass and as in the chain of single-mode calls, and
+    a factor of 1 is exact, so all agree bit for bit, signed zeros included.
     """
     n = _op_modes(state)
     modes = (modes,) if np.ndim(modes) == 0 else tuple(modes)
-    check_loss(modes, eta, n)
-    scale, root = np.ones(2 * n), np.sqrt(eta)
+    for eta in etas:
+        check_loss(modes, eta, n)
+    etas = np.asarray(etas, dtype=float)
+    scale, root = np.ones((len(etas), 2 * n)), np.sqrt(etas)[:, None]
     for mode in modes:
-        scale[mode::n] = root
-    cov = state.cov * scale[:, None]
-    cov *= scale
-    noise = (1.0 - eta) * np.eye(2)
+        scale[:, mode::n] = root
+    covs = state.cov * scale[:, :, None]
+    covs *= scale[:, None, :]
+    noise = (1.0 - etas)[:, None, None] * np.eye(2)
     for mode in modes:
-        cov[mode::n, mode::n] += noise
-    return GaussianState(cov)
+        covs[:, mode::n, mode::n] += noise
+    return covs
+
+
+def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: float) -> GaussianState:
+    """Attenuation channel a -> sqrt(eta) a + sqrt(1-eta) a_vac on each of
+    `modes` (one 0-based mode index or a sequence of distinct ones): the
+    pass of :func:`lossy_covariances` at the one efficiency, validated once."""
+    return GaussianState(lossy_covariances(state, modes, (eta,))[0])
 
 
 def second_moments(state: State) -> np.ndarray:

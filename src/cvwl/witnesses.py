@@ -33,9 +33,9 @@ two bounds.  :func:`batch_terms` and :func:`batch_bound` evaluate a row at
 a batch of gain rows, and the gain optimizer calls them on its probes,
 candidates, grid and simplex points.  :func:`evaluator` binds a row to
 one gain row, a batch of one: the bounds depend only on the gains, so it
-computes them once and returns a function of a state, which a fixed-gain
-sweep calls at every point.  :func:`evaluate` is that function, bound and
-called once.
+computes them once and returns a function of a state, or of a stack of
+second moments, which a fixed-gain sweep calls once per block of points.
+:func:`evaluate` is that function, bound and called once.
 """
 
 from __future__ import annotations
@@ -218,35 +218,40 @@ def lookup(cid: str) -> Criterion:
 
 
 def _quad(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The quadratic form of `block` at each row of a 2-D coefficient array."""
-    return np.einsum("bi,bi->b", coeffs @ block, coeffs)
+    """The quadratic form of each matrix of `block` (..., n, n) at each row
+    of a 2-D coefficient array, as a (..., B) array."""
+    return np.einsum("...bi,bi->...b", coeffs @ block, coeffs)
 
 
 def batch_terms(crit: Criterion, moments: np.ndarray):
     """A criterion on one state, as a function of a (B, m) array of gain rows.
 
-    The function returns Var u and Var v of every form (B x F, or 1 x F
-    where the form is fixed), every form's term (B x F) and the left-hand
-    side (B,).
+    `moments` is the state's second-moment matrix, or a stack (..., 2N, 2N)
+    of them, one per state.  The function returns Var u and Var v of every
+    form (... x B x F, or ... x 1 x F where the form is fixed), every form's
+    term (... x B x F) and the left-hand side (... x B); each matrix of a
+    stack gets, bit for bit, the values it gets alone.
     """
-    n = moments.shape[0] // 2
+    n = moments.shape[-1] // 2
     if crit.n_modes not in (None, n):
         raise ValueError(f"{crit.report_id} needs a {crit.n_modes}-mode state, got {n} modes")
-    cxx, cpp = moments[:n, :n], moments[n:, n:]
+    cxx, cpp = moments[..., :n, :n], moments[..., n:, n:]
     form, mode, slot = crit.slot_entries
-    fixed_u = None if crit.slots is VECTOR else _quad(crit.h, cxx)[None]
+    fixed_u = None if crit.slots is VECTOR else _quad(crit.h, cxx)[..., None, :]
 
     def at(rows: np.ndarray):
         if crit.slots is VECTOR:
-            var_u, var_v = _quad(rows[:, :n], cxx)[:, None], _quad(rows[:, n:], cpp)[:, None]
+            var_u, var_v = _quad(rows[:, :n], cxx)[..., None], _quad(rows[:, n:], cpp)[..., None]
         else:
             g = crit.g[None].repeat(len(rows), axis=0)
             g[:, form, mode] = rows[:, slot]
-            var_u, var_v = fixed_u, _quad(g.reshape(-1, n), cpp).reshape(len(rows), -1)
+            var_u = fixed_u
+            var_v = _quad(g.reshape(-1, n), cpp).reshape(cpp.shape[:-2] + (len(rows), -1))
         terms = np.sqrt(var_u * var_v) if crit.combine == "product" else var_u + var_v
         if crit.combine == "pair":
-            return var_u, var_v, terms, np.min(terms[:, [0, 0, 1]] + terms[:, [1, 2, 2]], axis=1)
-        return var_u, var_v, terms, terms.sum(axis=1)
+            return var_u, var_v, terms, np.min(terms[..., [0, 0, 1]] + terms[..., [1, 2, 2]],
+                                               axis=-1)
+        return var_u, var_v, terms, terms.sum(axis=-1)
 
     return at
 
@@ -266,15 +271,18 @@ def batch_bound(crit: Criterion, rows: np.ndarray, n: int, objective: str = "ent
 
 def evaluator(criterion: str, gains, n: int):
     """One criterion at fixed gains on n-mode states, as a function of a
-    state that returns its :class:`WitnessReport`.
+    state that returns its :class:`WitnessReport`, or of a stack of second
+    moments (E, 2N, 2N) that returns the list of their reports in one
+    batched call, each bit for bit the report of its state alone.
 
     `gains` is what :func:`evaluate` takes.  The gain row and both bounds
     depend only on the gains, so they are computed here, once; each call
-    then checks the state's mode count and forms the left-hand side.  Gains
-    at which the bound is not finite are rejected here, and a left-hand side
+    then checks the mode count and forms the left-hand sides.  Gains at
+    which the bound is not finite are rejected here, and a left-hand side
     that is not finite by the call, as is a Var u or Var v below zero: from
     a squeeze of r ~ 9 the rounding of a variance, about eps e^(2r), can
     pass its value, and the result is past what double precision resolves.
+    In a stack, the first point that fails raises.
     """
     crit = lookup(criterion)
     rows = crit.gain_row(gains, n)[None]
@@ -284,19 +292,26 @@ def evaluator(criterion: str, gains, n: int):
     if not math.isfinite(bound):
         raise ValueError(f"{crit.report_id} bound is not finite at these gains ({bound})")
 
-    def report(state: State) -> WitnessReport:
-        if state.n_modes != n:
-            raise ValueError(f"{crit.report_id} was bound to {n} modes, got {state.n_modes}")
+    def report(state):
+        moments = state if isinstance(state, np.ndarray) else second_moments(state)
+        if moments.shape[-1] != 2 * n:
+            raise ValueError(f"{crit.report_id} was bound to {n} modes, "
+                             f"got {moments.shape[-1] // 2}")
         with np.errstate(over="ignore", invalid="ignore"):
-            var_u, var_v, _, lhs = batch_terms(crit, second_moments(state))(rows)
-        lhs = float(lhs[0])
-        if not math.isfinite(lhs):
-            raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {lhs})")
-        least = min(var_u[0].tolist() + var_v[0].tolist())
-        if least < 0.0:
-            raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); the "
-                             "squeezing is past what double precision resolves")
-        return WitnessReport(crit.report_id, lhs, bound, steer)
+            var_u, var_v, _, lhs = batch_terms(crit, moments)(rows)
+        stack = moments.ndim > 2
+        if stack:  # the points lie along the stack; the one gain row's axis goes
+            var_u, var_v, lhs = var_u[:, 0], var_v[:, 0], lhs[:, 0]
+        reports = []
+        for value, u, v in zip(lhs.tolist(), var_u.tolist(), var_v.tolist()):
+            if not math.isfinite(value):
+                raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {value})")
+            least = min(u + v)
+            if least < 0.0:
+                raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); "
+                                 "the squeezing is past what double precision resolves")
+            reports.append(WitnessReport(crit.report_id, value, bound, steer))
+        return reports if stack else reports[0]
 
     return report
 

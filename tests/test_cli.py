@@ -102,6 +102,19 @@ class TestParseNetwork:
         assert err.value.line == 3
         assert err.value.column == 8
 
+    @pytest.mark.parametrize("text,fragment,column", [
+        ("input squeeze z 1\n", "axis", 15),
+        ("input  squeeze  Z  1\n", "axis", 17),
+        ("input squeeze z -1\n", "axis", 15),  # the axis is checked before r
+        ("input squeeze x -1\n", "nonnegative", 17),
+    ])
+    def test_squeeze_errors_name_their_token(self, text, fragment, column):
+        # SqueezeSpec alone states the squeeze rules; its error names the
+        # argument, and the parser places it at that argument's token
+        with pytest.raises(NetworkParseError, match=fragment) as err:
+            parse_network(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_round_trip(self):
         spec = ghz_network(4, 0.75)
         again = parse_network(format_network(spec))

@@ -34,6 +34,7 @@ import cvwl.optimizer
 from cvwl.cli import R_GRID
 from cvwl.optimizer import _objective, _tied_pieces, default_structure
 from cvwl.partitions import MAX_MODES
+from cvwl.states import lossy_covariances
 from cvwl.witnesses import TABLE, VECTOR, batch_bound, batch_terms, lookup
 from conftest import random_state
 from nelder_mead_reference import nelder_mead as reference_nelder_mead
@@ -852,6 +853,83 @@ class TestSweep:
             lhs = batch_terms(crit, second_moments(state))(crit.gain_row(gains, n)[None])[-1]
             assert row.report.lhs == float(lhs[0])
             assert (row.report.steer_bound is None) == (n != 3)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("criterion", list(TABLE))
+    def test_every_criterion_in_blocks_equals_evaluate_at_every_point(self, criterion, block,
+                                                                      monkeypatch, rng):
+        # a fixed-gain sweep scores each block of points in one call; whatever
+        # the block size, every point must report exactly what evaluate does
+        crit = TABLE[criterion]
+        n = crit.n_modes or 6
+        monkeypatch.setattr(cvwl.optimizer, "BLOCK_SUMS", block * (2 * n) ** 2)
+        if crit.slots is VECTOR:
+            gains = GainVector(rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n))
+        else:
+            gains = tuple(rng.uniform(-1.5, 1.5, len(crit.slots)).tolist()) or None
+        builder, modes = ("epr2", (3, 1)) if n > 3 else ("ghz", (2,))
+        etas = [0.0, 1.0, *rng.uniform(size=18).tolist()]
+        rs = rng.uniform(0.0, 1.5, 9).tolist()
+        sweeps = [(etas, sweep(builder, n, criterion, eta_values=etas, r=0.9, loss_modes=modes,
+                               optimize=False, gains=gains),
+                   lambda eta: apply_loss(build_state(builder, n, 0.9), modes, eta)),
+                  (rs, sweep(builder, n, criterion, r_values=rs, optimize=False, gains=gains),
+                   lambda r: build_state(builder, n, r))]
+        if n == 3:  # a mixture's stack holds its second moments
+            sweeps.append((rs, sweep("counterexample", 3, criterion, r_values=rs,
+                                     optimize=False, gains=gains),
+                           lambda r: build_state("counterexample", 3, r)))
+        for values, rows, state_at in sweeps:
+            assert len(rows) == len(values)
+            for value, row in zip(values, rows):
+                assert (row.param, row.gains, row.report) == (
+                    value, gains, evaluate(state_at(value), criterion, gains))
+
+    def test_blocks_at_the_mode_ceiling_equal_evaluate(self):
+        # BLOCK_SUMS // (2N)^2 = 163 points a block at N = 20: three blocks
+        n, modes = MAX_MODES, (1, 3)
+        gains = GainStructure("tied", n).expand((0.7, -0.3))
+        etas = np.linspace(0.0, 1.0, 401)
+        rows = sweep("ghz", n, "c8", eta_values=etas, r=1.0, loss_modes=modes,
+                     optimize=False, gains=gains)
+        base = build_state("ghz", n, 1.0)
+        for eta, row in zip(etas, rows, strict=True):
+            assert row.report == evaluate(apply_loss(base, modes, eta), "c8", gains)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_eta_sweep_takes_one_loss_pass_per_block(self, optimize, monkeypatch):
+        passes = []
+
+        def counting(state, modes, etas):
+            passes.append(len(etas))
+            return lossy_covariances(state, modes, etas)
+
+        monkeypatch.setattr(cvwl.optimizer, "lossy_covariances", counting)
+        monkeypatch.setattr(cvwl.optimizer, "BLOCK_SUMS", 7 * 6 ** 2)
+        gains = None if optimize else GainVector((1, -1, -1), (1, 1, 1))
+        rows = sweep("ghz", 3, "c5", eta_values=np.linspace(0.1, 1.0, 20), r=0.8,
+                     loss_modes=(1,), optimize=optimize, gains=gains)
+        assert len(rows) == 20 and passes == [7, 7, 6]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("builder,n,modes,etas", [
+        ("ghz", 3, (1,), (0.5, 0.9, 1.5, 0.2)),
+        ("ghz", 3, (1,), (0.5, math.nan)),
+        ("ghz", 3, (0, 3), (0.5, 0.9)),
+        ("ghz", 3, (2, 2), (0.5,)),
+        ("counterexample", 3, (1,), (0.5, 0.9)),
+    ])
+    def test_bad_loss_inputs_raise_what_apply_loss_raises(self, builder, n, modes, etas,
+                                                         optimize):
+        base = build_state(builder, n, 0.8)
+        gains = None if optimize else GainVector((1, -1, -1), (1, 1, 1))
+        with pytest.raises(ValueError) as want:
+            for eta in etas:
+                apply_loss(base, modes, eta)
+        with pytest.raises(ValueError) as got:
+            sweep(builder, n, "c5", eta_values=etas, r=0.8, loss_modes=modes,
+                  optimize=optimize, gains=gains)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_overflowing_gains_rejected_before_the_first_point(self, monkeypatch):
         monkeypatch.setattr(cvwl.optimizer, "build_state", None)  # no state may be built

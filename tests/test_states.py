@@ -20,6 +20,7 @@ from cvwl import (
     tensor,
     vacuum_state,
 )
+from cvwl.states import lossy_covariances
 from conftest import permute_modes, random_pure_state, random_state
 
 # from this squeeze parameter on, exp(2r) rounds past half the largest float,
@@ -235,6 +236,27 @@ class TestLoss:
         modes = order[:data.draw(st.integers(1, n))]
         assert apply_loss(state, modes, eta).cov.tobytes() == \
             loss_by_fancy_index(state, modes, eta).tobytes()
+
+    def test_one_pass_over_many_efficiencies_equals_apply_loss_at_each(self, rng):
+        # the pass a sweep makes per block: each efficiency's matrix, once
+        # validated, is apply_loss's at that efficiency, whatever shares the pass
+        for _ in range(100):
+            state = random_state(int(rng.integers(1, 8)), rng)
+            n = state.n_modes
+            modes = [int(m) for m in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+            etas = [0.0, 1.0, *rng.uniform(size=5).tolist()]
+            etas = [etas[i] for i in rng.permutation(len(etas))]
+            covs = lossy_covariances(state, modes, etas)
+            assert covs.shape == (len(etas), 2 * n, 2 * n)
+            for eta, cov in zip(etas, covs, strict=True):
+                want = apply_loss(state, modes, eta).cov
+                assert GaussianState(cov).cov.tobytes() == want.tobytes()
+                assert cov.tobytes() == lossy_covariances(state, modes, [eta])[0].tobytes()
+
+    def test_one_pass_checks_every_efficiency_first(self):
+        with pytest.raises(ValueError, match="got 1.5"):
+            lossy_covariances(vacuum_state(2), (0,), [0.5, 1.5, -1.0])
+        assert lossy_covariances(vacuum_state(2), (0,), []).shape == (0, 4, 4)
 
     def test_invalid_mode_lists(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -389,6 +389,27 @@ class TestEvaluator:
                 rows = TABLE[cid].gain_row(gains, n)[None]
                 assert got.lhs == float(batch_terms(TABLE[cid], second_moments(state))(rows)[-1][0])
 
+    @pytest.mark.parametrize("cid", CRITERIA)
+    def test_stack_equals_each_state_alone(self, cid, rng):
+        # a fixed-gain sweep scores a block of states in one call
+        n = TABLE[cid].n_modes or 6
+        for gains in (None, random_gains(cid, n, rng)):
+            states = [random_state(n, rng) for _ in range(5)]
+            states.append(random_biseparable_mixture(n, rng))
+            got = evaluator(cid, gains, n)(np.stack([second_moments(s) for s in states]))
+            assert got == [evaluate(state, cid, gains) for state in states]
+
+    def test_stack_raises_at_its_first_failing_point(self):
+        gains = GainVector((1.0, -0.5, -0.5), (1.0, 1.0, 1.0))
+        states = [build_ghz(3, 1.0), build_ghz(3, 50.0), build_ghz(3, 60.0)]
+        with pytest.raises(ValueError) as want:
+            evaluate(states[1], "c5", gains)
+        with pytest.raises(ValueError) as got:
+            evaluator("c5", gains, 3)(np.stack([state.cov for state in states]))
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="bound to 4 modes, got 5"):
+            evaluator("c8", None, 4)(build_ghz(5, 1.0).cov[None])
+
     @pytest.mark.parametrize("cid,n,other", [("c8", 4, 5), ("c8", 6, 3), ("c5", 3, 4)])
     def test_state_of_another_size_rejected(self, cid, n, other):
         with pytest.raises(ValueError, match=f"bound to {n} modes"):
