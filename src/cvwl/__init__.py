@@ -43,8 +43,6 @@ from .networks import (
     execute,
 )
 from .partitions import (
-    Bipartition,
-    biseparable_bound,
     enumerate_bipartitions,
     genuine_bound,
 )

@@ -467,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--criterion", required=True, help="criterion id (b1..b3, s1..s3, c1..c10)")
         if gains_help:
             p.add_argument("--gains", help=gains_help)
-        p.add_argument("--structure", help="gain structure (tied, free_g3, tied_g, free_g14, epr2)")
+        p.add_argument("--structure", help=f"gain structure ({', '.join(optimizer.KINDS)})")
         p.add_argument("--objective", default="entanglement",
                        choices=("entanglement", "steering", "lhs"))
 

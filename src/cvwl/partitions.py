@@ -8,19 +8,17 @@ entanglement, and for three modes a hybrid trust model gives the strictly
 smaller steering bound 2 min_i |h_i g_i|.
 
 The minimum is taken over subset sums of the products h_i g_i rather
-than over :class:`Bipartition` objects.  Modes 1..N-1 whose products are
-bitwise equal in every row of a batch form a class, and a split's sums
-depend only on how many modes of each class lie on side B, so a class of
-m modes contributes m + 1 counts instead of 2^m subsets: tied gains, with
-products (1, q, ..., q), need N sums per side, and products that are all
-distinct take N - 1 doubling steps.  The objects remain as the reference
-the tests compare against.
+than split by split.  Modes 1..N-1 whose products are bitwise equal in
+every row of a batch form a class, and a split's sums depend only on how
+many modes of each class lie on side B, so a class of m modes contributes
+m + 1 counts instead of 2^m subsets: tied gains, with products
+(1, q, ..., q), need N sums per side, and products that are all distinct
+take N - 1 doubling steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,57 +30,18 @@ MAX_MODES = 20
 BLOCK_SUMS = 1 << 18
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Canonical split of modes 0..N-1 into two nonempty sets; mode 0 in set_a."""
-
-    set_a: frozenset
-    set_b: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "set_a", frozenset(self.set_a))
-        object.__setattr__(self, "set_b", frozenset(self.set_b))
-        if not self.set_a or not self.set_b:
-            raise ValueError("both sides of a bipartition must be nonempty")
-        if self.set_a & self.set_b:
-            raise ValueError("bipartition sides must be disjoint")
-        n = len(self.set_a) + len(self.set_b)
-        if self.set_a | self.set_b != frozenset(range(n)):
-            raise ValueError("bipartition must cover modes 0..N-1 exactly")
-        if 0 not in self.set_a:
-            raise ValueError("canonical form requires mode 0 in set_a")
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.set_a) + len(self.set_b)
-
-
 def _check_modes(n: int):
     if not 2 <= n <= MAX_MODES:
         raise ValueError(f"mode count must lie in [2, {MAX_MODES}], got {n}")
 
 
 def enumerate_bipartitions(n: int):
-    """All 2^(N-1) - 1 canonical bipartitions, ordered by the bitmask of set_b."""
+    """All 2^(N-1) - 1 bipartitions of modes 0..N-1 as (set_a, set_b)
+    frozenset pairs, mode 0 in set_a, ordered by the bitmask of set_b."""
     _check_modes(n)
     sides = (frozenset(k + 1 for k in range(n - 1) if mask >> k & 1)
              for mask in range(1, 1 << (n - 1)))
-    return tuple(Bipartition(frozenset(range(n)) - set_b, set_b) for set_b in sides)
-
-
-def biseparable_bound(gains: GainVector, partition: Bipartition) -> float:
-    """Sum-inequality bound 2 (|sum_A h g| + |sum_B h g|) implied by
-    separability across the given bipartition.  The product-inequality
-    bound is half this value."""
-    if gains.n_modes != partition.n_modes:
-        raise ValueError(
-            f"gain length {gains.n_modes} does not match partition over "
-            f"{partition.n_modes} modes"
-        )
-    products = gains.products()
-    sum_a = products[sorted(partition.set_a)].sum()
-    sum_b = products[sorted(partition.set_b)].sum()
-    return 2.0 * (abs(float(sum_a)) + abs(float(sum_b)))
+    return tuple((frozenset(range(n)) - set_b, set_b) for set_b in sides)
 
 
 def _classes(products: np.ndarray):
@@ -98,9 +57,9 @@ def _classes(products: np.ndarray):
 
 
 def _split_bounds(products: np.ndarray, classes) -> np.ndarray:
-    """:func:`biseparable_bound` of every distinct split of the classes of
-    modes 1..N-1, for each row of a (B, N) products array, as a
-    (prod(m + 1) - 1, B) array.
+    """Sum bound 2 (|sum_A h g| + |sum_B h g|) of every distinct split of
+    the classes of modes 1..N-1, for each row of a (B, N) products array, as
+    a (prod(m + 1) - 1, B) array.
 
     A split puts c of a class's m equal products on side B and m - c on
     side A, and sits at index sum_j c_j S_j, where a class's stride S is
@@ -141,8 +100,9 @@ def genuine_bounds(products) -> np.ndarray:
 
 
 def genuine_bound(gains: GainVector, n: int | None = None) -> float:
-    """Genuine-multipartite-entanglement bound: the minimum of
-    :func:`biseparable_bound` over every canonical bipartition."""
+    """Genuine-multipartite-entanglement bound of one gain vector: the
+    minimum of the sum bound 2 (|sum_A h g| + |sum_B h g|) over every
+    bipartition A|B."""
     if n is None:
         n = gains.n_modes
     if gains.n_modes != n:

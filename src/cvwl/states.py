@@ -198,8 +198,6 @@ State = Union[GaussianState, MixedState]
 
 def vacuum_state(n: int) -> GaussianState:
     """N-mode vacuum: the 2N x 2N identity covariance."""
-    if n < 1:
-        raise ValueError(f"need at least one mode, got {n}")
     return GaussianState(np.eye(2 * n))
 
 
@@ -213,8 +211,6 @@ def squeezed_vacuum(spec: SqueezeSpec) -> GaussianState:
 
 def tensor(states: Sequence[GaussianState]) -> GaussianState:
     """Product state of independent blocks; modes are numbered in list order."""
-    if not states:
-        raise ValueError("tensor of an empty list is undefined")
     n = sum(s.n_modes for s in states)
     cov = np.zeros((2 * n, 2 * n))
     off = 0

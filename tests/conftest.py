@@ -54,9 +54,7 @@ def random_biseparable_mixture(n, rng, max_components=4, r_max=2.0):
     weights = rng.dirichlet(np.ones(k))
     components = []
     for w, pick in zip(weights, picks):
-        part = parts[int(pick)]
-        group_a = sorted(part.set_a)
-        group_b = sorted(part.set_b)
+        group_a, group_b = map(sorted, parts[int(pick)])
         joint = tensor([
             random_pure_state(len(group_a), rng, r_max=r_max),
             random_pure_state(len(group_b), rng, r_max=r_max),

@@ -27,7 +27,6 @@ from cvwl import (
     GainVector,
     analytic_gains_epr1,
     analytic_gains_ghz,
-    biseparable_bound,
     build_counterexample,
     build_epr_type_i,
     build_ghz,
@@ -40,7 +39,8 @@ from cvwl import (
     quadrature_variances,
     sweep,
 )
-from cvwl.partitions import Bipartition, steering_bounds
+from cvwl.partitions import steering_bounds
+from bipartition_reference import biseparable_bound
 from conftest import random_biseparable_mixture, random_state
 
 R_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -198,8 +198,7 @@ def test_criterion_05_thresholds():
                 ok = False
                 detail = f"threshold mismatch at r={r:.2f}, g={g}"
     gains = equal_split_gains(3)
-    pair_split = Bipartition(frozenset({0}), frozenset({1, 2}))
-    bipartite = biseparable_bound(gains, pair_split)
+    bipartite = biseparable_bound(gains, ({0}, {1, 2}))
     genuine = genuine_bound(gains, 3)
     if not (abs(bipartite - 4.0) < 1e-12 and abs(genuine - 2.0) < 1e-12):
         ok = False

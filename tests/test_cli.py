@@ -210,6 +210,12 @@ class TestCommands:
         assert float(cells["h"]) == pytest.approx(-0.68, abs=0.01)
         assert cells["converged"] == "true"
 
+    @pytest.mark.parametrize("command", ["witness", "optimize", "sweep"])
+    def test_structure_help_lists_every_kind(self, command, capsys):
+        assert main([command, "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"gain structure ({', '.join(cvwl.optimizer.KINDS)})" in text
+
     def test_sweep_r_grid(self, capsys):
         assert main(["sweep", "--state", "epr1", "--n", "3", "--criterion", "c3",
                      "--values", "0.5,1.0", "--no-optimize"]) == EXIT_OK

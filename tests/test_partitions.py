@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvwl import (
-    Bipartition,
     GainStructure,
     GainVector,
-    biseparable_bound,
     enumerate_bipartitions,
     equal_split_gains,
     genuine_bound,
 )
 from cvwl.partitions import BLOCK_SUMS, genuine_bounds, steering_bounds
+from bipartition_reference import biseparable_bound
 
 
 def _doubling_bounds(products):
@@ -41,7 +40,7 @@ TIED_QS = (1.0, -1.0, 0.0, -0.5, 1 / 3, -1 / 3, 0.1, -0.7, -1.3, 2.9, -0.2468, 0
 
 
 def _sets(parts):
-    return {(tuple(sorted(p.set_a)), tuple(sorted(p.set_b))) for p in parts}
+    return {(tuple(sorted(a)), tuple(sorted(b))) for a, b in parts}
 
 
 class TestEnumeration:
@@ -64,44 +63,40 @@ class TestEnumeration:
     def test_deterministic_order(self):
         first = enumerate_bipartitions(4)
         assert first == enumerate_bipartitions(4)
-        assert first[0].set_b == {1}
+        assert first[0] == ({0, 2, 3}, {1})
 
     def test_mode_zero_always_in_set_a(self):
-        assert all(0 in p.set_a for p in enumerate_bipartitions(6))
+        assert all(0 in a for a, _ in enumerate_bipartitions(6))
 
     @pytest.mark.parametrize("n", [1, 21])
     def test_range_guard(self, n):
         with pytest.raises(ValueError):
             enumerate_bipartitions(n)
 
-    def test_canonical_form_enforced(self):
-        with pytest.raises(ValueError):
-            Bipartition(frozenset({1}), frozenset({0}))
-        with pytest.raises(ValueError):
-            Bipartition(frozenset({0, 1}), frozenset({1}))
-
-
-def _partition(a, b):
-    return Bipartition(frozenset(a), frozenset(b))
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_canonical_disjoint_cover(self, n):
+        parts = enumerate_bipartitions(n)
+        for a, b in parts:
+            assert not a & b
+            assert a | b == frozenset(range(n))
+            assert 0 in a
+            assert b
+        assert len(set(parts)) == len(parts)
 
 
 class TestBiseparableBound:
     def test_pair_form_sees_nothing_from_its_own_split(self):
         gains = GainVector((1, -1, 0), (1, 1, 0.7))
-        assert biseparable_bound(gains, _partition({0, 1}, {2})) == pytest.approx(0.0)
+        assert biseparable_bound(gains, ({0, 1}, {2})) == pytest.approx(0.0)
 
     def test_pair_form_constrains_the_other_splits(self):
         gains = GainVector((1, -1, 0), (1, 1, 1))
-        assert biseparable_bound(gains, _partition({0, 2}, {1})) == pytest.approx(4.0)
+        assert biseparable_bound(gains, ({0, 2}, {1})) == pytest.approx(4.0)
 
     def test_all_ones(self):
         n = 5
         gains = GainVector((1,) * n, (1,) * n)
-        assert biseparable_bound(gains, _partition({0, 1}, {2, 3, 4})) == pytest.approx(2 * n)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            biseparable_bound(GainVector((1, 1), (1, 1)), _partition({0}, {1, 2}))
+        assert biseparable_bound(gains, ({0, 1}, {2, 3, 4})) == pytest.approx(2 * n)
 
 
 class TestGenuineBound:

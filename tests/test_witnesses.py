@@ -5,7 +5,6 @@ import pytest
 
 from cvwl import (
     GainVector,
-    biseparable_bound,
     build_counterexample,
     build_epr_type_i,
     build_epr_type_ii,
@@ -16,8 +15,8 @@ from cvwl import (
     second_moments,
     vacuum_state,
 )
-from cvwl.partitions import Bipartition
 from cvwl.witnesses import CRITERIA, TABLE, VECTOR, WitnessReport, batch_terms, evaluator
+from bipartition_reference import biseparable_bound
 from conftest import random_biseparable_mixture, random_state
 
 
@@ -202,8 +201,7 @@ class TestNPartiteCriterion:
         # never negate them
         gains = GainVector((1, -1, -1, -1), (1, 1, 1, -1))
         blind = {(0, 1), (0, 2)}
-        for part in (Bipartition(frozenset({0, 1}), frozenset({2, 3})),
-                     Bipartition(frozenset({0, 2}), frozenset({1, 3}))):
+        for part in (({0, 1}, {2, 3}), ({0, 2}, {1, 3})):
             assert biseparable_bound(gains, part) == pytest.approx(0.0)
         report = evaluate(build_epr_type_ii(4, 2.0), "c8", gains)
         assert report.ent_bound == 0.0
