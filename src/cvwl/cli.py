@@ -11,9 +11,11 @@ by the parser's `type=` functions, except the `--loss MODE ETA` pairs, which
 (search them first), on `sweep` a list that fixes them for every point;
 `optimize` searches the gains and takes no `--gains`.
 The reproduce targets (the paper's Tables I-IV and Figs. 4, 5, 10-12) are
-rows of `REPRODUCE`: each target is a list of column groups, and one driver
-evaluates every group at each r of `R_GRID`, building each (preset, modes)
-state once per r.
+rows of `REPRODUCE`: each target is a list of column groups.
+`cmd_reproduce` goes column group by column group: it builds each
+(preset, modes) state once per r of `R_GRID`, and solves or evaluates a
+group's seven states in one batched call (an exact gain solve of the
+block, or a fixed- or per-point-gain evaluation of the stack).
 
 Exit codes: 0 success, 2 configuration/parse error (among them a squeeze
 parameter that is not finite, is negative, or reaches ln(DBL_MAX/2)/2 ~
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import re
@@ -357,32 +360,45 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# Cell makers of the reproduce table: each returns `cells(state, r)`, the
-# values of one column group.  They look up optimize_gains, build_state and
-# witnesses.evaluate when they run, so that wrappers installed on those
-# module attributes after import (bench/tracer.py) see every call.
+# Cell makers of the reproduce table: each returns `cells(states, rs)`, the
+# values of one column group at every r, one tuple per r, from one batched
+# call over the stack of the states' second moments.  They look up the
+# solver and the evaluators when they run, so that wrappers installed on
+# those module attributes after import see every call.
+
+def _stack(states) -> np.ndarray:
+    return np.stack([second_moments(state) for state in states])
+
 
 def _search(criterion, params=False, structure=None, objective="entanglement"):
-    """A cold gain search: its parameters (with `params`) and ent ratio."""
-    def cells(state, r):
-        result = optimize_gains(state, criterion, objective=objective,
-                                structure=default_structure(criterion, state.n_modes, structure))
-        return (result.params if params else ()) + (result.ent_ratio,)
+    """Cold gain searches, every one an exact solve: the parameters (with
+    `params`) and the ent ratio."""
+    def cells(states, rs):
+        layout = default_structure(criterion, states[0].n_modes, structure)
+        results = optimizer.solve_exact(_stack(states), criterion, layout, objective)
+        return [(result.params if params else ()) + (result.ent_ratio,) for result in results]
     return cells
 
 
 def _fixed(criterion, gains=lambda n: None):
     """The ent ratio at fixed gains, given as a function of the mode count."""
-    return lambda state, r: (witnesses.evaluate(state, criterion, gains(state.n_modes)).ent_ratio,)
+    def cells(states, rs):
+        n = states[0].n_modes
+        return [(report.ent_ratio,)
+                for report in witnesses.evaluator(criterion, gains(n), n)(_stack(states))]
+    return cells
 
 
 def _stationary(analytic, gains=False):
     """c8 at the closed-form stationary gains analytic(n, r) of the tied
     structure: (g, h) (with `gains`) and the ent ratio."""
-    def cells(state, r):
-        g, h = analytic(state.n_modes, r)
-        tied = GainStructure("tied", state.n_modes).expand((g, h))
-        return ((g, h) if gains else ()) + (witnesses.evaluate(state, "c8", tied).ent_ratio,)
+    def cells(states, rs):
+        n = states[0].n_modes
+        points = [analytic(n, r) for r in rs]
+        tied = [GainStructure("tied", n).expand(point) for point in points]
+        reports = witnesses.batch_reports("c8", tied, _stack(states))
+        return [(point if gains else ()) + (report.ent_ratio,)
+                for point, report in zip(points, reports)]
     return cells
 
 
@@ -426,19 +442,23 @@ REPRODUCE = {
 def cmd_reproduce(args) -> int:
     groups = REPRODUCE[args.target]
     header = ("target", "r") + tuple(name for names, _, _, _ in groups for name in names)
-    rows = []
-    for r in R_GRID:
-        built, row = {}, [args.target, r]
-        for _, preset, n, cells in groups:
-            if (preset, n) not in built:
-                built[preset, n] = build_state(preset, n, r)
-            row.extend(cells(built[preset, n], r))
-        rows.append(row)
+    rows = [[args.target, r] for r in R_GRID]
+    built = {}
+    for _, preset, n, cells in groups:  # column group by column group
+        if (preset, n) not in built:
+            built[preset, n] = [build_state(preset, n, r) for r in R_GRID]
+        for row, values in zip(rows, cells(built[preset, n], R_GRID)):
+            row.extend(values)
     _write_rows(header, rows, args.output)
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; each call parses into a namespace of its own.  The
+    `--state` choices (the keys of `optimizer.BUILDERS`) and each command's
+    `run=` function are bound at that first build."""
     parser = argparse.ArgumentParser(
         prog="cvwl",
         description="Gaussian multimode entanglement/steering witness toolkit (CSV output)",

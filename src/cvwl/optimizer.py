@@ -17,8 +17,8 @@ has the minimizers of the sum of the variances its gains move: Var u +
 Var v for c6, and the Var v of its forms for s1-s3 and c2, whose Var u
 are fixed.  The quadratic is read off the batched evaluator at
 1 + 2k + k(k-1)/2 points and its minimum-norm minimizer solved for, so a
-parameter no form uses comes out as 0.  This covers every objective of b1-b3, s1-s3, c1, c2, c9
-and c10, and "lhs" on c5, c6 and c8.
+parameter no form uses comes out as 0.  This covers every objective of
+b1-b3, s1-s3, c1, c2, c9 and c10, and "lhs" on c5, c6 and c8.
 
 Exact tied ratio solve: with the "tied" structure the left-hand side of
 c5, c6 and c8 is built from A(h) = Var u and B(g) = Var v, two 1-D
@@ -37,23 +37,33 @@ roots of a quartic, join the candidates.  Where a candidate's mode-0
 gain is exactly 0 (mode 0 uncorrelated with the rest), the infimum lies at
 infinity, and the candidate is a point far along its direction.
 
+Block solves: both exact solves work on a stack of states at once
+(:func:`solve_exact`, which takes an (E, 2N, 2N) stack of second moments):
+one probe call for every state, the (E, k, k) Hessians with a
+least-squares solve per state, or one stacked Cholesky factor and one
+``eigh`` over every state's pieces, one scoring call of the candidates of
+all states with as many of them, and one batched report.  Each state's
+result is bit for bit its own solve alone, and a cold
+:func:`optimize_gains` on an exact path is a block of one.  A sweep solves
+a block of points whose objective needs no seed in one call, and
+``cvwl reproduce`` solves each column over its seven squeezings in one.
+
 Search: the ratio objectives of the 3-parameter "epr2" structure score a
 vectorized coarse grid over [-2, 2] per free parameter (step 0.05) and
 refine its best point by Nelder-Mead; the grid does not bracket every
 optimum.  Passing an explicit ``init`` to a c5/c6/c8 ratio objective
 skips the grid or the tied solve (warm start) and refines from there.
-Every solve first chooses its points (the quadratic's minimizer, the tied
-candidates, a warm ``init`` or the grid), then scores them all with one
-batched call of the objective and keeps the least; only a searched start,
-``init`` or the best grid point, goes on to refinement.
-The refinement is :func:`_nelder_mead`, SciPy's Nelder-Mead step for step,
-so no command loads SciPy; it scores each iteration's candidate points in
-one batched call of the objective.
+These solve one state at a time.  Every solve first chooses its points
+(the quadratic's minimizer, the tied candidates, a warm ``init`` or the
+grid), then scores them with one batched call of the objective and keeps
+the least; only a searched start, ``init`` or the best grid point, goes
+on to refinement.  The refinement is :func:`_nelder_mead`, SciPy's
+Nelder-Mead step for step, so no command loads SciPy; it scores each
+iteration's candidate points in one batched call of the objective.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -262,10 +272,10 @@ class GainStructure:
         return sources, np.flatnonzero(sources < 0)
 
     def rows(self, params) -> np.ndarray:
-        """Gain rows, one per row of a (B, n_params) parameter array."""
+        """Gain rows, one per row of a (..., n_params) parameter array."""
         sources, ones = self._sources
-        rows = np.asarray(params, dtype=float).take(sources, axis=1)
-        rows[:, ones] = 1.0
+        rows = np.asarray(params, dtype=float).take(sources, axis=-1)
+        rows[..., ones] = 1.0
         return rows
 
     def expand(self, params: Sequence[float]):
@@ -311,47 +321,72 @@ class OptimizationResult:
     converged: bool
 
 
-def _objective(state: State, criterion: str, structure: GainStructure, objective: str):
-    """The minimized objective as a function of a (B, k) parameter array.
+def _check_objective(objective: str):
+    if objective not in ("entanglement", "steering", "lhs"):
+        raise ValueError(
+            f"objective must be 'entanglement', 'steering' or 'lhs', got {objective!r}")
 
-    Its attribute `quadratic` is a quadratic in the parameters with the same
-    minimizers, or None where the objective has none (a bound that moves
-    with the gains, c7's best pair).  Its attribute `stationary` lists the
-    candidate minimizers of a tied ratio objective (see
-    :func:`_tied_stationary`), or is None for every other objective."""
+
+def _solve_kind(criterion: str, structure: GainStructure, objective: str):
+    """How an objective is minimized: "quadratic" where a quadratic in the
+    parameters has the same minimizers (and where there are no parameters),
+    "tied" where the tied ratio's stationary candidates hold its minimum
+    (cold starts only), and None where only a search finds it."""
     crit = witnesses.lookup(criterion)
-    terms = witnesses.batch_terms(crit, second_moments(state))
-    n = state.n_modes
+    bound = {"entanglement": crit.ent_bound, "steering": crit.steer_bound}.get(objective)
+    if structure.n_params and bound == witnesses.BY_GAINS:
+        return "tied" if structure.kind == "tied" else None
+    return "quadratic"
+
+
+def _objective(moments: np.ndarray, criterion: str, structure: GainStructure, objective: str):
+    """The minimized objective as a function of parameters: on one state's
+    second moments (2N, 2N), of a (B, k) array, giving (B,) values; on a
+    stack (E, 2N, 2N), of (B, k) points that every state takes or of
+    (E, B, k) points of each state's own, giving (E, B).  Its argument
+    `which`, an index into the stack, scores the points of those states
+    alone.
+
+    Its attribute `kind` is :func:`_solve_kind`'s, and on a stack
+    `candidates()` lists each state's points of that exact solve: the
+    quadratic's minimizer as one row (one empty row without parameters),
+    or the tied candidates of :func:`_tied_stationary`."""
+    crit = witnesses.lookup(criterion)
+    terms = witnesses.batch_terms(crit, moments)
+    n = moments.shape[-1] // 2
+    k = structure.n_params
     width = 2 * n if crit.slots is witnesses.VECTOR else len(crit.slots)
-    origin = structure.rows(np.zeros((1, structure.n_params)))
+    origin = structure.rows(np.zeros((1, k)))
     if origin.shape[1] != width:
         raise ValueError(f"structure {structure.kind!r} does not fit criterion {criterion}")
     if objective != "lhs" and witnesses.batch_bound(crit, origin, n, objective) is None:
         raise ValueError(f"no {objective} bound is defined for {criterion} at {n} modes")
 
-    def at(params: np.ndarray) -> np.ndarray:
+    def at(params: np.ndarray, which=None) -> np.ndarray:
         rows = structure.rows(params)
-        lhs = terms(rows)[-1]
+        lhs = (terms if which is None else witnesses.batch_terms(crit, moments[which]))(rows)[-1]
         if objective == "lhs":
             return lhs
         bound = witnesses.batch_bound(crit, rows, n, objective)
         return np.where(bound > 0.0, lhs / np.maximum(bound, 1e-300), np.inf)
 
-    at.quadratic = at.stationary = None
-    bound = {"entanglement": crit.ent_bound, "steering": crit.steer_bound}.get(objective)
-    if bound == witnesses.BY_GAINS:
-        if structure.kind == "tied":
-            at.stationary = lambda: _tied_stationary(
-                terms, structure, crit.combine == "product", objective)
-        return at
     if crit.combine == "sum":
-        at.quadratic = at
+        quadratic = at
     elif crit.slots is witnesses.VECTOR:
         # c6: h moves Var u and g Var v; at three modes no structure ties an h to a g
-        at.quadratic = lambda params: np.add(*terms(structure.rows(params))[:2])[:, 0]
-    elif crit.combine == "product":
+        quadratic = lambda params: np.add(*terms(structure.rows(params))[:2])[..., 0]
+    else:
         # s1-s3, c2: every Var u is fixed, and each gain moves the Var v of one form
-        at.quadratic = lambda params: terms(structure.rows(params))[1].sum(axis=1)
+        quadratic = lambda params: terms(structure.rows(params))[1].sum(axis=-1)
+
+    def candidates() -> list:
+        if at.kind == "tied":
+            return _tied_stationary(terms, structure, crit.combine == "product", objective)
+        if k == 0:
+            return [np.zeros((1, 0))] * len(moments)
+        return list(_quadratic_minimizer(quadratic, k)[:, None])
+
+    at.kind, at.candidates = _solve_kind(criterion, structure, objective), candidates
     return at
 
 
@@ -381,54 +416,29 @@ def _real_roots(coeffs) -> np.ndarray:
     return roots.real[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))]
 
 
-def _tied_stationary(terms, structure: GainStructure, product: bool, objective: str):
-    """Candidate minimizers (g, h) of the tied ratio lhs / b(gh), sorted.
+def _cholesky(stack: np.ndarray):
+    """The Cholesky factors of the matrices of a stack that have one, and
+    the mask of those.  A stacked call refuses the whole stack for one
+    matrix, so on a refusal the matrices are factored one by one, each bit
+    for bit as in the stacked call."""
+    try:
+        return np.linalg.cholesky(stack), np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        factors, ok = np.zeros_like(stack), np.ones(len(stack), dtype=bool)
+        for e, matrix in enumerate(stack):
+            try:
+                factors[e] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                ok[e] = False
+        return factors[ok], ok
 
-    lhs is A(h) + B(g) or sqrt(A(h) B(g)), with A(h) = a0 + 2 a1 h + a2 h^2
-    and B(g) = b0 + 2 b1 g + b2 g^2 read off the probes (g, h) = 0, 1, -1.
-    With mode 0's gains free, z = (g_1, g, h_1, h), A + B is a quadratic
-    form z'Lz and a piece alpha + beta q of the bound is
-    alpha g_1 h_1 + beta g h = z'Bz, both homogeneous of degree 2.  A sum
-    ties g_1 = h_1.  A product leaves them free: scaling h by c and g by
-    1/c keeps the bound, and min_c (c^2 A + B / c^2) = 2 sqrt(AB).  Either
-    way the stationary points of the ratio are the eigenvectors of the
-    symmetric-definite pencil L z = R B z (Golub & Van Loan, Matrix
-    Computations, 8.7), one Cholesky factor of L and one batched ``eigh``
-    over the pieces, read back as g = z_g / z_g1 and h = z_h / z_h1.  The
-    candidates are these, the unconstrained minimum of lhs, and the minima
-    of lhs on every curve gh = q0 of a kink that :func:`_tied_pieces` lists
-    (steering only).  Where the minimum is attained, it is at one of them.
-    An eigenvector with a zero first gain has its infimum at infinity: its
-    candidate is its direction (z_g, z_h) scaled to length
-    RATIO_TOL^(-1/2), where the ratio is within a few RATIO_TOL of that
-    limit.
-    """
-    var_u, var_v = terms(structure.rows(np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])))[:2]
-    coeffs = np.array([[v[0], (v[1] - v[2]) / 4.0, (v[1] + v[2]) / 2.0 - v[0]]
-                       for v in (var_u[:, 0], var_v[:, 0])])
-    # the candidates do not change when lhs is scaled; scaling keeps the
-    # products of coefficients below from overflowing at large r
-    (a0, a1, a2), (b0, b1, b2) = coeffs / np.max(np.abs(coeffs))
-    alpha, beta, kinks = _tied_pieces(structure.n_modes, objective)
-    lhs = np.zeros((4, 4))
-    lhs[:2, :2], lhs[2:, 2:] = [[b0, b1], [b1, b2]], [[a0, a1], [a1, a2]]
-    pieces = np.zeros((len(alpha), 4, 4))
-    pieces[:, 0, 2] = pieces[:, 2, 0] = alpha / 2.0
-    pieces[:, 1, 3] = pieces[:, 3, 1] = beta / 2.0
-    tie = np.eye(4) if product else np.eye(3)[[0, 1, 0, 2]]  # a sum ties g_1 = h_1
-    points = [(-b1 / b2, -a1 / a2)]
-    # from a squeeze of r ~ 9 up, L is positive definite only to rounding,
-    # and Cholesky may refuse it; the objective itself is at rounding there
-    with contextlib.suppress(np.linalg.LinAlgError):
-        # with tie' L tie = C C', w = tie C^-T turns the pencil into w' B w y = y / R
-        w = np.linalg.solve(np.linalg.cholesky(tie.T @ lhs @ tie), tie.T).T
-        z = w @ np.linalg.eigh(w.T @ pieces @ w)[1]
-        rest, mode0 = z[:, [1, 3]], z[:, [0, 2]]  # (z_g, z_h) and (z_g1, z_h1) per eigenvector
-        pencil = rest / mode0
-        # a zero mode-0 gain puts the infimum at infinity: go far along (z_g, z_h)
-        far = rest * (RATIO_TOL ** -0.5 / np.sqrt(np.sum(rest * rest, axis=1, keepdims=True)))
-        pencil = np.where(np.isfinite(pencil).all(axis=1, keepdims=True), pencil, far)
-        points.extend(pencil.transpose(0, 2, 1).reshape(-1, 2).tolist())
+
+def _on_kinks(coeffs, kinks, product: bool) -> list:
+    """The points (g, h) where one state's lhs is stationary on each curve
+    gh = q0 of a kink, from its scaled coefficients
+    ((a0, a1, a2), (b0, b1, b2)) (see :func:`_tied_stationary`)."""
+    (a0, a1, a2), (b0, b1, b2) = coeffs
+    points = []
     for q0 in kinks:  # d lhs(q0 / h, h) / dh = 0, times a power of h
         if product:
             quartic = [a2 * b0, a1 * b0 + a2 * b1 * q0, 0.0, -q0 * (a0 * b1 + a1 * b2 * q0),
@@ -436,9 +446,75 @@ def _tied_stationary(terms, structure: GainStructure, product: bool, objective: 
         else:
             quartic = [a2, a1, 0.0, -b1 * q0, -b2 * q0 * q0]
         points.extend((q0 / h, h) for h in _real_roots(quartic) if h != 0.0)
-    points = np.array(points, dtype=float) + 0.0  # no -0.0 gains
-    points = points[np.all(np.isfinite(points), axis=1)]
-    return points[np.lexsort(points.T[::-1])]
+    return points
+
+
+def _tied_stationary(terms, structure: GainStructure, product: bool, objective: str) -> list:
+    """Candidate minimizers (g, h) of the tied ratio lhs / b(gh) on each
+    state of a stack, each state's sorted, as a list of (C, 2) arrays.
+
+    lhs is A(h) + B(g) or sqrt(A(h) B(g)), with A(h) = a0 + 2 a1 h + a2 h^2
+    and B(g) = b0 + 2 b1 g + b2 g^2 read off the probes (g, h) = 0, 1, -1,
+    one call for the stack.  With mode 0's gains free, z = (g_1, g, h_1, h),
+    A + B is a quadratic form z'Lz and a piece alpha + beta q of the bound
+    is alpha g_1 h_1 + beta g h = z'Bz, both homogeneous of degree 2.  A sum
+    ties g_1 = h_1.  A product leaves them free: scaling h by c and g by
+    1/c keeps the bound, and min_c (c^2 A + B / c^2) = 2 sqrt(AB).  Either
+    way the stationary points of the ratio are the eigenvectors of the
+    symmetric-definite pencil L z = R B z (Golub & Van Loan, Matrix
+    Computations, 8.7), one stacked Cholesky factor of the L and one
+    ``eigh`` over every state's pieces, read back as g = z_g / z_g1 and
+    h = z_h / z_h1.  The candidates are these, the unconstrained minimum of
+    lhs, and the minima of lhs on every curve gh = q0 of a kink that
+    :func:`_tied_pieces` lists (steering only; one quartic per state).
+    Where the minimum is attained, it is at one of them.  An eigenvector
+    with a zero first gain has its infimum at infinity: its candidate is its
+    direction (z_g, z_h) scaled to length RATIO_TOL^(-1/2), where the ratio
+    is within a few RATIO_TOL of that limit.
+    """
+    var_u, var_v = terms(structure.rows(np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])))[:2]
+    v = np.concatenate((var_u, var_v), axis=-1).swapaxes(-1, -2)  # (E, 2, probe)
+    coeffs = np.stack((v[..., 0], (v[..., 1] - v[..., 2]) / 4.0,
+                       (v[..., 1] + v[..., 2]) / 2.0 - v[..., 0]), axis=-1)
+    # the candidates do not change when lhs is scaled; scaling keeps the
+    # products of coefficients below from overflowing at large r
+    coeffs /= np.max(np.abs(coeffs), axis=(1, 2), keepdims=True)
+    (a0, a1, a2), (b0, b1, b2) = coeffs.transpose(1, 2, 0)
+    alpha, beta, kinks = _tied_pieces(structure.n_modes, objective)
+    blocks = coeffs[:, :, [[0, 1], [1, 2]]]  # [[a0, a1], [a1, a2]] and B's
+    lhs = np.zeros((len(coeffs), 4, 4))
+    lhs[:, :2, :2], lhs[:, 2:, 2:] = blocks[:, 1], blocks[:, 0]
+    pieces = np.zeros((len(alpha), 4, 4))
+    pieces[:, 0, 2] = pieces[:, 2, 0] = alpha / 2.0
+    pieces[:, 1, 3] = pieces[:, 3, 1] = beta / 2.0
+    tie = np.eye(4) if product else np.eye(3)[[0, 1, 0, 2]]  # a sum ties g_1 = h_1
+    # a candidate a state lacks stays NaN and is dropped with the non-finite ones
+    pencil = np.full((len(coeffs), len(alpha) * tie.shape[1], 2), np.nan)
+    # from a squeeze of r ~ 9 up, L is positive definite only to rounding,
+    # and Cholesky may refuse it; the objective itself is at rounding there
+    factors, ok = _cholesky(tie.T @ lhs @ tie)
+    if ok.any():
+        # with tie' L tie = C C', w = tie C^-T turns the pencil into w' B w y = y / R
+        w = np.linalg.solve(factors, tie.T).swapaxes(-1, -2)[:, None]
+        z = w @ np.linalg.eigh(w.swapaxes(-1, -2) @ pieces @ w)[1]
+        rest, mode0 = z[..., 1::2, :], z[..., ::2, :]  # (z_g, z_h), (z_g1, z_h1) per eigenvector
+        ratios = rest / mode0
+        # a zero mode-0 gain puts the infimum at infinity: go far along (z_g, z_h)
+        far = rest * (RATIO_TOL ** -0.5 / np.sqrt(np.sum(rest * rest, axis=-2, keepdims=True)))
+        ratios = np.where(np.isfinite(ratios).all(axis=-2, keepdims=True), ratios, far)
+        pencil[ok] = ratios.swapaxes(-1, -2).reshape(len(ratios), -1, 2)
+    on_kinks = np.full((len(coeffs), 4 * len(kinks), 2), np.nan)
+    for e, state in enumerate(coeffs if len(kinks) else ()):
+        found = _on_kinks(state, kinks, product)
+        if found:
+            on_kinks[e, :len(found)] = found
+    first = np.stack((-b1 / b2, -a1 / a2), axis=-1)[:, None]
+    points = np.concatenate((first, pencil, on_kinks), axis=1) + 0.0  # no -0.0 gains
+    finite = np.all(np.isfinite(points), axis=-1)
+    # by g, then h; lexsort keeps ties in place, and the non-finite go last
+    order = np.lexsort((points[..., 1], points[..., 0], ~finite), axis=-1)
+    points = np.take_along_axis(points, order[..., None], axis=1)
+    return [state[:count] for state, count in zip(points, finite.sum(axis=1).tolist())]
 
 
 def _least(points: np.ndarray, ratios: np.ndarray):
@@ -453,23 +529,74 @@ def _least(points: np.ndarray, ratios: np.ndarray):
 
 
 def _quadratic_minimizer(quadratic, k: int) -> np.ndarray:
-    """The minimum-norm minimizer of a quadratic q(p) = c + b.p + p.A.p / 2
-    over R^k, from q at 0, +-e_i and e_i + e_j (i < j), which give c, b and
-    A exactly: the least-squares solution of A p = -b.  A parameter whose
-    row of A and entry of b are at rounding level (one that no form reads)
+    """The minimum-norm minimizer of each state's quadratic
+    q(p) = c + b.p + p.A.p / 2 over R^k, as an (E, k) array, from q at 0,
+    +-e_i and e_i + e_j (i < j), one call for the stack, which give c, b
+    and A exactly: the least-squares solution of A p = -b, one per state, as
+    the free parameters can differ between states.  A parameter whose row
+    of A and entry of b are at rounding level (one that no form reads)
     stays exactly 0."""
     eye = np.eye(k)
     i, j = np.triu_indices(k, 1)
     q = quadratic(np.concatenate((np.zeros((1, k)), eye, -eye, eye[i] + eye[j])))
-    c, plus, minus, mixed = q[0], q[1:k + 1], q[k + 1:2 * k + 1], q[2 * k + 1:]
-    hessian = np.diag(plus + minus - 2.0 * c)
-    hessian[i, j] = hessian[j, i] = mixed - plus[i] - plus[j] + c
+    c, plus, minus, mixed = q[:, :1], q[:, 1:k + 1], q[:, k + 1:2 * k + 1], q[:, 2 * k + 1:]
+    hessian = np.zeros((len(q), k, k))
+    hessian[:, range(k), range(k)] = plus + minus - 2.0 * c
+    hessian[:, i, j] = hessian[:, j, i] = mixed - plus[:, i] - plus[:, j] + c
     grad = (plus - minus) / 2.0
-    rounding = 64.0 * np.finfo(float).eps * np.max(np.abs(q))
-    free = np.flatnonzero(np.maximum(np.abs(hessian).max(axis=1), np.abs(grad)) > rounding)
-    params = np.zeros(k)
-    params[free] = np.linalg.lstsq(hessian[np.ix_(free, free)], -grad[free], rcond=None)[0]
+    rounding = 64.0 * np.finfo(float).eps * np.max(np.abs(q), axis=1, keepdims=True)
+    free = np.maximum(np.abs(hessian).max(axis=2), np.abs(grad)) > rounding
+    params = np.zeros((len(q), k))
+    for e, f in enumerate(free):
+        f = np.flatnonzero(f)
+        params[e, f] = np.linalg.lstsq(hessian[e][np.ix_(f, f)], -grad[e, f], rcond=None)[0]
     return params
+
+
+def solve_exact(moments: np.ndarray, criterion: str,
+                structure: Optional[GainStructure] = None,
+                objective: str = "entanglement") -> list:
+    """Exact gain solves of a stack of states, one :class:`OptimizationResult`
+    per matrix of `moments` (E, 2N, 2N), each bit for bit the cold
+    :func:`optimize_gains` of its state alone.
+
+    The objective must have an exact solve (see the module docstring); one
+    that needs a search raises ValueError.  The block probes every state in
+    one :func:`witnesses.batch_terms` call; it then forms the (E, k, k)
+    Hessians of a quadratic, or takes the tied pencils through one stacked
+    Cholesky factor and one ``eigh``.  It scores the candidates of all states
+    with equally many in one call of the objective, keeps each state's least
+    point, and forms every report in one :func:`witnesses.batch_reports`
+    call.  A point that :func:`optimize_gains` refuses makes the block raise
+    the same error; where several points fail, the first at the earliest
+    stage raises.
+    """
+    _check_objective(objective)
+    cid = str(criterion).strip().lower()
+    structure = structure or default_structure(cid, moments.shape[-1] // 2)
+    # as in optimize_gains: overflowing and singular points score NaN or
+    # inf, and a result the criterion refuses is rejected by the reports
+    with np.errstate(all="ignore"):
+        batch = _objective(moments, cid, structure, objective)
+        if batch.kind is None:
+            raise ValueError(f"the {objective} objective of {cid} with structure "
+                             f"{structure.kind!r} has no exact solve")
+        points = batch.candidates()
+        best = [None] * len(points)
+        counts = [len(p) for p in points]
+        # a matrix product may round by how many rows it takes, so each
+        # state is scored among states with as many candidates as it has
+        for count in set(counts):
+            which = [e for e, c in enumerate(counts) if c == count]
+            ratios = batch(np.stack([points[e] for e in which]),
+                           None if len(which) == len(points) else which)
+            for e, values in zip(which, ratios):
+                best[e] = _least(points[e], values)
+    params = [tuple(float(v) for v in np.atleast_1d(p)) for p, _ in best]
+    gains = [structure.expand(p) for p in params]
+    reports = witnesses.batch_reports(cid, gains, moments)
+    return [OptimizationResult(cid, objective, p, g, ratio, report.ent_ratio, report, 0, True)
+            for p, g, (_, ratio), report in zip(params, gains, best, reports)]
 
 
 def optimize_gains(state: State, criterion: str,
@@ -478,60 +605,52 @@ def optimize_gains(state: State, criterion: str,
                    objective: str = "entanglement") -> OptimizationResult:
     """Minimize the normalized witness ratio over a tied gain structure.
 
-    The solve first chooses its points, then scores them all in one
-    batched call and keeps the least.  Where the objective has a quadratic
-    with the same minimizers (see the module docstring) the point is its
-    exact minimum, and `init` is only checked.  A cold start (no `init`) of
-    a tied ratio objective takes its stationary candidates, with no
-    refinement; one of the "epr2" structure takes a grid over [-2, 2]^3
-    and refines the best cell by Nelder-Mead.  A warm start takes `init`
-    alone and refines from it.  Deterministic either way.  A non-finite
-    `init`, a warm start at which the objective is not finite, or a result
-    at which the criterion is not finite raises ValueError, and no numpy
-    warning leaks.
+    Where the objective has a quadratic with the same minimizers (see the
+    module docstring), the result is its exact minimum and `init` is only
+    checked; so is a cold start (no `init`) of a tied ratio objective, from
+    its stationary candidates.  Both are :func:`solve_exact` on a block of
+    one.  A search first chooses its points, then scores them all in one
+    batched call and keeps the least: a cold start of the "epr2" structure
+    takes a grid over [-2, 2]^3 and refines the best cell by Nelder-Mead,
+    and a warm start takes `init` alone and refines from it.  Deterministic
+    either way.  A non-finite `init`, a warm start at which the objective is
+    not finite, or a result at which the criterion is not finite raises
+    ValueError, and no numpy warning leaks.
     """
-    if objective not in ("entanglement", "steering", "lhs"):
-        raise ValueError(
-            f"objective must be 'entanglement', 'steering' or 'lhs', got {objective!r}")
+    _check_objective(objective)
     cid = str(criterion).strip().lower()
     structure = structure or default_structure(cid, state.n_modes)
     k = structure.n_params
     if init is not None and (np.shape(init) != (k,) or not np.all(np.isfinite(init))):
         raise ValueError(f"init must supply {k} finite values for {structure.param_names}")
-    # huge gains, singular solves and far-off candidates may overflow, and
-    # from a squeeze of r ~ 9.5 a product's Var u Var v may round negative;
-    # such a point scores NaN or inf, and a non-finite result, or one with a
-    # variance below zero, is rejected by `evaluate` below
+    kind = _solve_kind(cid, structure, objective)
+    if kind == "quadratic" or (kind == "tied" and init is None):
+        return solve_exact(second_moments(state)[None], cid, structure, objective)[0]
+    # huge gains and far-off points may overflow, and from a squeeze of
+    # r ~ 9.5 a product's Var u Var v may round negative; such a point
+    # scores NaN or inf, and a non-finite result, or one with a variance
+    # below zero, is rejected by `evaluate` below
     with np.errstate(all="ignore"):
-        batch = _objective(state, cid, structure, objective)
-        # the points to score: an exact minimizer, the tied candidates, or
-        # the start of a search (a warm `init`, or the grid)
-        searched = False
-        if k == 0 or batch.quadratic is not None:
-            points = (_quadratic_minimizer(batch.quadratic, k) if k else np.zeros(0))[None]
-        elif init is None and batch.stationary is not None:
-            points = batch.stationary()
-        elif init is not None:
-            points, searched = np.array([init], dtype=float), True
+        batch = _objective(second_moments(state), cid, structure, objective)
+        # the start of the search: a warm `init`, or the grid
+        if init is not None:
+            points = np.array([init], dtype=float)
         else:
             axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
             points = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
-            searched = True
         best, best_ratio = _least(points, np.concatenate(
             [batch(points[lo:lo + GRID_CHUNK]) for lo in range(0, len(points), GRID_CHUNK)]))
-        iterations, converged = 0, True
-        if searched:
-            if init is not None and not math.isfinite(best_ratio):
-                raise ValueError(f"the {objective} objective is not finite at init {tuple(init)}")
-            # absolute-scale initial simplex: the default one is relative to the
-            # start point and degenerates when warm-starting from gains near zero
-            simplex = np.tile(best, (k + 1, 1))
-            for axis_idx in range(k):
-                simplex[axis_idx + 1, axis_idx] += 0.1
-            x, fun, iterations, converged = _nelder_mead(
-                batch, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
-            if np.isfinite(fun) and fun <= best_ratio:
-                best, best_ratio = x, fun
+        if init is not None and not math.isfinite(best_ratio):
+            raise ValueError(f"the {objective} objective is not finite at init {tuple(init)}")
+        # absolute-scale initial simplex: the default one is relative to the
+        # start point and degenerates when warm-starting from gains near zero
+        simplex = np.tile(best, (k + 1, 1))
+        for axis_idx in range(k):
+            simplex[axis_idx + 1, axis_idx] += 0.1
+        x, fun, iterations, converged = _nelder_mead(
+            batch, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
+        if np.isfinite(fun) and fun <= best_ratio:
+            best, best_ratio = x, fun
 
     best = tuple(float(v) for v in np.atleast_1d(best))
     gains = structure.expand(best)
@@ -603,10 +722,14 @@ def sweep(builder: str, n: int, criterion: str,
     gain row and the bounds are computed before the first point, and each
     block's left-hand sides are formed in one batched call; gains at which
     the bound is not finite raise ValueError there, before the first point.
-    With `optimize`, each point is gain-optimized on its own; `warm_start`
-    seeds each point with the previous optimum (the first point is solved
-    cold: exactly for the tied structure, by grid and refinement for
-    "epr2"; an exact quadratic solve ignores the seed).
+    With `optimize`, a block whose points need no seed is solved in one
+    :func:`solve_exact` call, bit for bit each point's cold
+    :func:`optimize_gains`: a quadratic objective (c1, c10, "lhs", ...),
+    which ignores the seed, a criterion without free gains, and a tied
+    ratio without `warm_start`.  Otherwise each point is gain-optimized on
+    its own; `warm_start` seeds each point with the previous optimum (the
+    first point is solved cold: exactly for the tied structure, by grid and
+    refinement for "epr2").
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")
@@ -630,6 +753,11 @@ def sweep(builder: str, n: int, criterion: str,
 
     values = list(eta_values if r_values is None else r_values)
     report_at = None if optimize else witnesses.evaluator(criterion, gains, n)
+    structure = structure or default_structure(criterion, n)
+    kind = _solve_kind(criterion, structure, objective)
+    # a block is solved at once where no point needs a seed: a quadratic's
+    # minimum ignores it, and a tied ratio takes it only when warm
+    solved = optimize and (kind == "quadratic" or (kind == "tied" and not warm_start))
     step = max(1, BLOCK_SUMS // (2 * n) ** 2)
     rows, prev = [], None
     for lo in range(0, len(values), step):
@@ -637,11 +765,15 @@ def sweep(builder: str, n: int, criterion: str,
         # a buffer of the block's matrices, and its states, each built and
         # validated only as it is reached: one state of the block is held at a time
         moments, states = block_states(block)
-        if report_at is not None:
+        if report_at is not None or solved:
             for k, state in enumerate(states):
                 moments[k] = second_moments(state)  # over its unvalidated matrix
+        if report_at is not None:
             rows.extend(SweepRow(value, gains, report)
                         for value, report in zip(block, report_at(moments)))
+        elif solved:
+            rows.extend(SweepRow(value, result.gains, result.report) for value, result
+                        in zip(block, solve_exact(moments, criterion, structure, objective)))
         else:
             for value, state in zip(block, states):
                 result = optimize_gains(state, criterion, structure=structure, init=prev,

@@ -36,6 +36,8 @@ one gain row, a batch of one: the bounds depend only on the gains, so it
 computes them once and returns a function of a state, or of a stack of
 second moments, which a fixed-gain sweep calls once per block of points.
 :func:`evaluate` is that function, bound and called once.
+:func:`batch_reports` evaluates a stack of states each at its own gains,
+as a block of exact gain solves ends.
 """
 
 from __future__ import annotations
@@ -219,18 +221,23 @@ def lookup(cid: str) -> Criterion:
 
 def _quad(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
     """The quadratic form of each matrix of `block` (..., n, n) at each row
-    of a 2-D coefficient array, as a (..., B) array."""
-    return np.einsum("...bi,bi->...b", coeffs @ block, coeffs)
+    of a coefficient array, (B, n) for every matrix or (..., B, n) of each
+    matrix's own rows, as a (..., B) array."""
+    return np.einsum("...bi,...bi->...b", coeffs @ block, coeffs)
 
 
 def batch_terms(crit: Criterion, moments: np.ndarray):
-    """A criterion on one state, as a function of a (B, m) array of gain rows.
+    """A criterion on one state, or on a stack of states, as a function of
+    gain rows.
 
     `moments` is the state's second-moment matrix, or a stack (..., 2N, 2N)
-    of them, one per state.  The function returns Var u and Var v of every
-    form (... x B x F, or ... x 1 x F where the form is fixed), every form's
-    term (... x B x F) and the left-hand side (... x B); each matrix of a
-    stack gets, bit for bit, the values it gets alone.
+    of them, one per state.  The rows are a (B, m) array, every state's, or
+    (..., B, m), B rows of each matrix's own.  The function returns Var u
+    and Var v of every form (... x B x F, or ... x 1 x F where the form is
+    fixed), every form's term (... x B x F) and the left-hand side
+    (... x B); each matrix of a stack gets, bit for bit, the values it gets
+    alone at its B rows.  (Only at the same B: a matrix product's rounding
+    may depend on how many rows it takes.)
     """
     n = moments.shape[-1] // 2
     if crit.n_modes not in (None, n):
@@ -241,12 +248,15 @@ def batch_terms(crit: Criterion, moments: np.ndarray):
 
     def at(rows: np.ndarray):
         if crit.slots is VECTOR:
-            var_u, var_v = _quad(rows[:, :n], cxx)[..., None], _quad(rows[:, n:], cpp)[..., None]
+            var_u = _quad(rows[..., :n], cxx)[..., None]
+            var_v = _quad(rows[..., n:], cpp)[..., None]
         else:
-            g = crit.g[None].repeat(len(rows), axis=0)
-            g[:, form, mode] = rows[:, slot]
+            g = np.empty(rows.shape[:-1] + crit.g.shape)
+            g[...] = crit.g
+            g[..., form, mode] = rows[..., slot]
             var_u = fixed_u
-            var_v = _quad(g.reshape(-1, n), cpp).reshape(cpp.shape[:-2] + (len(rows), -1))
+            var_v = _quad(g.reshape(rows.shape[:-2] + (-1, n)), cpp)
+            var_v = var_v.reshape(var_v.shape[:-1] + (rows.shape[-2], -1))
         terms = np.sqrt(var_u * var_v) if crit.combine == "product" else var_u + var_v
         if crit.combine == "pair":
             return var_u, var_v, terms, np.min(terms[..., [0, 0, 1]] + terms[..., [1, 2, 2]],
@@ -257,15 +267,16 @@ def batch_terms(crit: Criterion, moments: np.ndarray):
 
 
 def batch_bound(crit: Criterion, rows: np.ndarray, n: int, objective: str = "entanglement"):
-    """The entanglement or steering bound at each gain row, or None where
-    the criterion defines none."""
+    """The entanglement or steering bound at each gain row of a (..., m)
+    array, or None where the criterion defines none."""
     value = crit.ent_bound if objective == "entanglement" else crit.steer_bound
     if value != BY_GAINS:
-        return None if value is None else np.full(len(rows), value)
+        return None if value is None else np.full(rows.shape[:-1], value)
     if objective != "entanglement" and n != 3:
         return None
-    products = rows[:, :n] * rows[:, n:]
+    products = (rows[..., :n] * rows[..., n:]).reshape(-1, n)
     bound = genuine_bounds(products) if objective == "entanglement" else steering_bounds(products)
+    bound = bound.reshape(rows.shape[:-1])
     return bound / 2.0 if crit.combine == "product" else bound
 
 
@@ -314,6 +325,42 @@ def evaluator(criterion: str, gains, n: int):
         return reports if stack else reports[0]
 
     return report
+
+
+def batch_reports(criterion: str, gains, moments: np.ndarray) -> list:
+    """The reports of a stack of states, each at its own gains: `gains`
+    holds what :func:`evaluate` takes, one entry per matrix of `moments`
+    (E, 2N, 2N).  The stack's left-hand sides are formed in one batched
+    call and its bounds in one call per bound.
+
+    Each report is bit for bit :func:`evaluate`'s of its state wherever the
+    block's gain products group into the same classes of equal columns as
+    each row's alone (see :func:`partitions.genuine_bounds`): every
+    constant bound, and the tied and "epr2" gain layouts of the optimizer.
+    Gains that :func:`evaluate` refuses are refused here, and so is a bound,
+    left-hand side or variance that it refuses, at the first point that
+    fails.
+    """
+    crit = lookup(criterion)
+    n = moments.shape[-1] // 2
+    rows = np.array([crit.gain_row(g, n) for g in gains]).reshape(len(gains), -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in evaluator: rejected below
+        bounds, steers = batch_bound(crit, rows, n), batch_bound(crit, rows, n, "steering")
+        var_u, var_v, _, lhs = batch_terms(crit, moments)(rows[:, None])
+    steers = [None] * len(rows) if steers is None else steers.tolist()
+    reports = []
+    for bound, steer, value, u, v in zip(bounds.tolist(), steers, lhs[:, 0].tolist(),
+                                         var_u[:, 0].tolist(), var_v[:, 0].tolist()):
+        if not math.isfinite(bound):
+            raise ValueError(f"{crit.report_id} bound is not finite at these gains ({bound})")
+        if not math.isfinite(value):
+            raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {value})")
+        least = min(u + v)
+        if least < 0.0:
+            raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); "
+                             "the squeezing is past what double precision resolves")
+        reports.append(WitnessReport(crit.report_id, value, bound, steer))
+    return reports
 
 
 def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:

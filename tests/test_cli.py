@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 import shlex
@@ -10,8 +12,11 @@ from cvwl.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    R_GRID,
+    REPRODUCE,
     NetworkParseError,
     _parse_values,
+    _write_rows,
     main,
     parse_network,
 )
@@ -19,7 +24,7 @@ import cvwl.cli
 import cvwl.networks
 import cvwl.optimizer
 from cvwl.networks import BeamSplitter, LossChannel, ghz_network
-from cvwl.optimizer import BUILDERS
+from cvwl.optimizer import BUILDERS, build_state
 from cvwl.partitions import MAX_MODES
 from cvwl import GainVector, PhysicalityError, build_ghz, execute, quadrature_variances
 
@@ -48,6 +53,27 @@ def format_network(spec):
         else:
             lines.append(f"loss {op.mode + 1} {op.eta!r}")
     return "\n".join(lines) + "\n"
+
+
+def row_major_reproduce(target):
+    """A reproduce CSV built row by row, point by point: at each r of R_GRID
+    each (preset, modes) state is built once, and every column group takes
+    its cells from that one state, a block of one."""
+    groups = REPRODUCE[target]
+    header = ("target", "r") + tuple(name for names, _, _, _ in groups for name in names)
+    rows = []
+    for r in R_GRID:
+        built, row = {}, [target, r]
+        for _, preset, n, cells in groups:
+            if (preset, n) not in built:
+                built[preset, n] = build_state(preset, n, r)
+            (values,) = cells([built[preset, n]], (r,))
+            row.extend(values)
+        rows.append(row)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_rows(header, rows, None)
+    return out.getvalue()
 
 
 class TestParseNetwork:
@@ -256,6 +282,26 @@ class TestCommands:
         assert rows[1.0][1] == pytest.approx(-0.49, abs=0.01)
         assert rows[2.0][3] == pytest.approx(0.70, abs=0.01)
         assert all(l.split(",")[0] == "table1" for l in lines[1:])
+
+    @pytest.mark.parametrize("target", sorted(REPRODUCE))
+    def test_reproduce_equals_a_row_by_row_point_by_point_build(self, target, capsys):
+        assert main(["reproduce", target]) == EXIT_OK
+        assert capsys.readouterr().out == row_major_reproduce(target)
+
+    def test_the_parser_is_built_once_and_shares_no_state(self, capsys):
+        assert cvwl.cli._build_parser() is cvwl.cli._build_parser()
+        build = ["build", "--state", "ghz", "--n", "3", "--r", "1"]
+        argv = {"one": ["--loss", "1", "0.5"],
+                "two": ["--loss", "2", "0.25", "--loss", "3", "0.75"]}
+        outputs = {}
+        for order in (("one", "two"), ("two", "one")):
+            for key in order:
+                assert main(build + argv[key]) == EXIT_OK
+                outputs.setdefault(key, []).append(capsys.readouterr().out)
+        # each call applies its own --loss channels, whichever call came first
+        assert outputs["one"][0] == outputs["one"][1] != outputs["two"][0] == outputs["two"][1]
+        args = cvwl.cli._build_parser().parse_args(["build", "--state", "ghz"])
+        assert args.loss == []
 
     def test_csv_output_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -32,11 +32,12 @@ from cvwl import (
 )
 import cvwl.optimizer
 from cvwl.cli import R_GRID
-from cvwl.optimizer import _objective, _tied_pieces, default_structure
+from cvwl.optimizer import _objective, _tied_pieces, default_structure, solve_exact
 from cvwl.partitions import MAX_MODES
-from cvwl.states import lossy_covariances
+from cvwl.states import GaussianState, lossy_covariances
 from cvwl.witnesses import TABLE, VECTOR, batch_bound, batch_terms, lookup
 from conftest import random_state
+from exact_solve_reference import exact_solve
 from nelder_mead_reference import nelder_mead as reference_nelder_mead
 
 
@@ -282,11 +283,11 @@ def _nelder_mead_objectives(rng):
             cases += [(cid, "tied", objective) for cid in ("c5", "c6")
                       for objective in ("entanglement", "steering")]
         for cid, kind, objective in cases:
-            batch = _objective(state, cid, GainStructure(kind, n), objective)
+            batch = _objective(second_moments(state), cid, GainStructure(kind, n), objective)
             fun = _single(batch)
             as_is = n == 3 and kind == "tied"
             yield GainStructure(kind, n).n_params, batch if as_is else _rowwise(fun), fun
-        epr2 = _objective(state, "c8", GainStructure("epr2", n), "entanglement")
+        epr2 = _objective(second_moments(state), "c8", GainStructure("epr2", n), "entanglement")
         h0 = float(rng.uniform(-1.0, 1.0))
         fun = lambda p: float(epr2(np.array([[p[0], h0, -h0]]))[0])  # noqa: E731
         yield 1, _rowwise(fun), fun
@@ -360,7 +361,8 @@ class TestNelderMead:
         # at three modes a batch's rows are single-row values bit for bit
         # (see the test below), so the batched objective takes SciPy's steps
         rng = np.random.default_rng(seed)
-        batch = _objective(random_state(3, rng), cid, GainStructure("tied", 3), objective)
+        batch = _objective(second_moments(random_state(3, rng)), cid, GainStructure("tied", 3),
+                           objective)
         simplex, options = _simplex_and_options(rng, 2)
         got = cvwl.optimizer._nelder_mead(batch, simplex, *options)
         _assert_same_steps(got, _scipy_nelder_mead(_single(batch), simplex, *options))
@@ -389,7 +391,7 @@ class TestNelderMead:
                                                            rng):
         structure = GainStructure(kind, n)
         for state in _states(n, rng):
-            batch = _objective(state, cid, structure, objective)
+            batch = _objective(second_moments(state), cid, structure, objective)
             for size in (2, 3, 4):
                 params = rng.uniform(-3.0, 3.0, (size, structure.n_params))
                 want = np.concatenate([batch(params[i:i + 1]) for i in range(size)])
@@ -402,7 +404,7 @@ class TestNelderMead:
         # than a single-row one, and the steps may part at rounding level
         structure = GainStructure(kind, n)
         for state in _states(n, rng):
-            batch = _objective(state, "c8", structure, "entanglement")
+            batch = _objective(second_moments(state), "c8", structure, "entanglement")
             centre = rng.uniform(-1.5, 1.5, structure.n_params)
             simplex = np.vstack((centre, centre + 0.1 * np.eye(structure.n_params)))
             got = cvwl.optimizer._nelder_mead(batch, simplex, 1e-7, 1e-8, 2000, 4000)
@@ -445,7 +447,7 @@ class TestBatchedObjective:
         states += [random_state(n, rng) for _ in range(2)]
         for state in states:
             params = rng.uniform(-2, 2, (8, structure.n_params))
-            batch = _objective(state, cid, structure, objective)(params)
+            batch = _objective(second_moments(state), cid, structure, objective)(params)
             for p, got in zip(params, batch):
                 report = evaluate(state, cid, structure.expand(p))
                 want = {"entanglement": report.ent_ratio, "steering": report.steer_ratio,
@@ -503,9 +505,10 @@ class TestExactSolve:
         for cid, n, kind, objective in _objective_cases():
             structure = GainStructure(kind, n)
             if structure.n_params:
-                batch = _objective(vacuum_state(n), cid, structure, objective)
-                assert (batch.quadratic is not None) == ((cid, n, kind, objective) in exact)
-                assert (batch.stationary is not None) == ((cid, n, kind, objective) in tied_ratio)
+                moments = second_moments(vacuum_state(n))
+                solve = _objective(moments, cid, structure, objective).kind
+                assert (solve == "quadratic") == ((cid, n, kind, objective) in exact)
+                assert (solve == "tied") == ((cid, n, kind, objective) in tied_ratio)
 
     @pytest.mark.parametrize("cid,n,kind,objective", list(_exact_cases()))
     def test_no_grid_point_or_refine_does_better(self, cid, n, kind, objective, rng):
@@ -515,7 +518,7 @@ class TestExactSolve:
         pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * k), indexing="ij")], axis=1)
         for state in _states(n, rng):
             exact = optimize_gains(state, cid, structure=structure, objective=objective)
-            batch = _objective(state, cid, structure, objective)
+            batch = _objective(second_moments(state), cid, structure, objective)
             grid = batch(pts)
             refined = minimize(lambda p: float(batch(p[None])[0]), pts[np.argmin(grid)],
                                method="Nelder-Mead",
@@ -552,7 +555,7 @@ class TestExactSolve:
         options = {"xatol": 1e-9, "fatol": 1e-14, "maxfev": 4000}
         for state in states:
             exact = optimize_gains(state, cid, structure=structure, objective=objective)
-            batch = _objective(state, cid, structure, objective)
+            batch = _objective(second_moments(state), cid, structure, objective)
             fun = lambda p: float(batch(p[None])[0])
             grid = batch(pts)
             searched = minimize(fun, pts[np.argmin(grid)], method="Nelder-Mead", options=options)
@@ -623,7 +626,8 @@ class TestExactSolve:
         for cid, n, objective in _tied_ratio_cases():
             state, closed_form = build_ghz(n, r), analytic_gains_ghz(n, r)
             with np.errstate(all="ignore"):
-                points = _objective(state, cid, default_structure(cid, n), objective).stationary()
+                points = _objective(second_moments(state)[None], cid, default_structure(cid, n),
+                                    objective).candidates()[0]
             assert np.any(np.all(np.abs(points - closed_form) <= 1e-6, axis=1))
             try:
                 result = optimize_gains(state, cid, objective=objective)
@@ -696,6 +700,136 @@ class TestExactSolve:
                         or "past what double precision resolves" in str(exc))
             else:
                 assert math.isfinite(result.ratio)
+
+
+def _block_cases():
+    """Every criterion, structure and objective with an exact solve: the
+    quadratic ones, those without free gains, and the cold tied ratios."""
+    tied_ratio = {(cid, n, "tied", objective) for cid, n, objective in _tied_ratio_cases()}
+    for case in _objective_cases():
+        cid, n, kind, objective = case
+        if case in tied_ratio or cid in EXACT_ROWS + ("c3", "c4", "c7") or objective == "lhs":
+            yield case
+
+
+def _lossy_states(n):
+    """The ghz and epr1 states at r = 1 with mode 0 or the last mode lost
+    wholly (eta = 0) or not at all (eta = 1).  A mode lost wholly is
+    uncorrelated with the rest, so where it is mode 0 the tied candidates
+    lie at infinity."""
+    return [apply_loss(build_state(builder, n, 1.0), mode, eta)
+            for builder in ("ghz", "epr1") for mode in (0, n - 1) for eta in (0.0, 1.0)]
+
+
+def _assert_as_reference(results, states, cid, structure, objective):
+    assert len(results) == len(states)
+    for result, state in zip(results, states):
+        params, ratio, gains, report = exact_solve(state, cid, structure, objective)
+        assert (result.params, result.ratio, result.gains, result.report) == \
+            (params, ratio, gains, report)
+        assert (result.criterion_id, result.objective, result.ent_ratio) == \
+            (cid, objective, report.ent_ratio)
+        assert (result.iterations, result.converged) == (0, True)
+
+
+def _stack(states):
+    return np.stack([second_moments(state) for state in states])
+
+
+class TestBlockSolve:
+    """``solve_exact`` against the per-point reference of
+    ``exact_solve_reference``, which is ``optimize_gains``'s exact solve as
+    it was before the stacked solve, bit for bit."""
+
+    @pytest.mark.parametrize("cid,n,kind,objective", list(_block_cases()))
+    def test_blocks_of_one_and_of_seven_equal_the_reference(self, cid, n, kind, objective,
+                                                             rng):
+        structure = GainStructure(kind, n)
+        states = _lossy_states(n) + [random_state(n, rng) for _ in range(6)]
+        for state in states:
+            _assert_as_reference(solve_exact(_stack([state]), cid, structure, objective),
+                                 [state], cid, structure, objective)
+            result = optimize_gains(state, cid, structure=structure, objective=objective)
+            _assert_as_reference([result], [state], cid, structure, objective)
+        order = rng.permutation(len(states))
+        for block in ([states[i] for i in order[:7]], [states[i] for i in order[7:]]):
+            _assert_as_reference(solve_exact(_stack(block), cid, structure, objective),
+                                 block, cid, structure, objective)
+
+    @pytest.mark.parametrize("cid,n,kind,objective", [
+        ("c1", 3, "free_g3", "entanglement"), ("c10", 4, "free_g14", "entanglement"),
+        ("c5", 3, "tied", "entanglement"), ("c6", 3, "tied", "steering"),
+        ("c8", 5, "tied", "entanglement"),
+    ])
+    def test_a_thousand_point_block_equals_the_reference(self, cid, n, kind, objective, rng):
+        # 40 random draws among the efficiencies 0..1 of one loss pass on each
+        # lossy state's base, in a shuffled order
+        structure = GainStructure(kind, n)
+        etas = np.linspace(0.0, 1.0, 240)
+        covs = [cov for builder in ("ghz", "epr1") for mode in (0, n - 1)
+                for cov in lossy_covariances(build_state(builder, n, 1.0), mode, etas)]
+        states = [GaussianState(cov) for cov in covs] + [random_state(n, rng) for _ in range(40)]
+        states = [states[i] for i in rng.permutation(len(states))]
+        assert len(states) == 1000
+        _assert_as_reference(solve_exact(_stack(states), cid, structure, objective),
+                             states, cid, structure, objective)
+
+    @pytest.mark.parametrize("cid,r", [("c5", 10.0), ("c6", 9.25)])
+    @pytest.mark.parametrize("objective", ["entanglement", "steering"])
+    def test_a_point_whose_cholesky_fails_drops_only_its_pencil(self, cid, r, objective,
+                                                                monkeypatch, rng):
+        # at these squeezings L is positive definite only to rounding and
+        # Cholesky refuses it, which a stacked call does for the whole stack
+        masks = []
+
+        def recording(stack):
+            factors, ok = cholesky(stack)
+            masks.append(ok.tolist())
+            return factors, ok
+
+        cholesky = cvwl.optimizer._cholesky
+        monkeypatch.setattr(cvwl.optimizer, "_cholesky", recording)
+        structure = GainStructure("tied", 3)
+        states = [random_state(3, rng) for _ in range(6)]
+        states.insert(2, build_ghz(3, r))
+        results = solve_exact(_stack(states), cid, structure, objective)
+        assert masks == [[True, True, False, True, True, True, True]]
+        _assert_as_reference(results, states, cid, structure, objective)
+
+    def test_the_free_parameters_can_differ_inside_a_block(self, monkeypatch):
+        # modes 1 and 3 p-squeezed at r = 12: the Hessian rows of g1 and g3,
+        # 2 Var p ~ 1e-10, fall below the rounding of Var x ~ 3e10, so only g2
+        # is solved for there, and all three on the other states
+        sizes = []
+
+        def recording(a, b, rcond=None):
+            sizes.append(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        squeezed = squeezed_vacuum(SqueezeSpec(12.0, "p"))
+        structure = GainStructure("free_g3", 3)
+        states = [build_ghz(3, 1.0), tensor([squeezed, vacuum_state(1), squeezed]),
+                  build_epr_type_i(3, 0.5)]
+        results = solve_exact(_stack(states), "c1", structure, "entanglement")
+        assert sizes == [(3, 3), (1, 1), (3, 3)]
+        _assert_as_reference(results, states, "c1", structure, "entanglement")
+
+    def test_a_failing_point_raises_as_alone(self, rng):
+        # at r = 50 a c5 variance rounds below zero; a block raises for it
+        block = [random_state(3, rng), build_ghz(3, 50.0), random_state(3, rng)]
+        with pytest.raises(ValueError) as want:
+            optimize_gains(block[1], "c5")
+        with pytest.raises(ValueError) as got:
+            solve_exact(_stack(block), "c5")
+        assert str(got.value) == str(want.value)
+
+    def test_a_search_is_refused(self):
+        with pytest.raises(ValueError, match="no exact solve"):
+            solve_exact(_stack([build_ghz(4, 1.0)]), "c8", GainStructure("epr2", 4))
+        with pytest.raises(ValueError, match="objective must be"):
+            solve_exact(_stack([build_ghz(3, 1.0)]), "c5", objective="ratio")
 
 
 class TestStructures:
@@ -930,6 +1064,49 @@ class TestSweep:
             sweep(builder, n, "c5", eta_values=etas, r=0.8, loss_modes=modes,
                   optimize=optimize, gains=gains)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("criterion,n,kwargs", [
+        ("c1", 3, {}), ("c10", 4, {}), ("c8", 4, {"objective": "lhs"}), ("c3", 3, {}),
+        ("c5", 3, {"warm_start": False}),
+        ("c6", 3, {"warm_start": False, "objective": "steering"}),
+    ])
+    @pytest.mark.parametrize("param", ["eta", "r"])
+    def test_sweeps_that_need_no_seed_solve_each_block_at_once(self, criterion, n, kwargs,
+                                                                param, monkeypatch):
+        # each point as a cold optimize_gains; the eta sweep loses mode 2 wholly at eta = 0
+        values = np.linspace(0.0, 1.0, 20)
+        objective = kwargs.get("objective", "entanglement")
+        if param == "eta":
+            states = [apply_loss(build_state("ghz", n, 0.8), 1, eta) for eta in values]
+            kwargs = dict(kwargs, eta_values=values, r=0.8, loss_modes=(1,))
+        else:
+            states = [build_state("ghz", n, r) for r in values]
+            kwargs = dict(kwargs, r_values=values)
+        want = [optimize_gains(state, criterion, objective=objective) for state in states]
+        blocks = []
+
+        def counting(moments, *args):
+            blocks.append(len(moments))
+            return solve_exact(moments, *args)
+
+        monkeypatch.setattr(cvwl.optimizer, "solve_exact", counting)
+        monkeypatch.setattr(cvwl.optimizer, "BLOCK_SUMS", 7 * (2 * n) ** 2)
+        rows = sweep("ghz", n, criterion, **kwargs)
+        assert blocks == [7, 7, 6]
+        assert [(row.gains, row.report) for row in rows] == \
+            [(result.gains, result.report) for result in want]
+
+    def test_warm_tied_sweeps_stay_per_point(self, monkeypatch):
+        blocks = []
+
+        def counting(moments, *args):
+            blocks.append(len(moments))
+            return solve_exact(moments, *args)
+
+        monkeypatch.setattr(cvwl.optimizer, "solve_exact", counting)
+        rows = sweep("ghz", 3, "c5", eta_values=np.linspace(0.5, 1.0, 6), r=0.8,
+                     loss_modes=(1,))
+        assert len(rows) == 6 and blocks == [1]  # the first point alone is solved cold
 
     def test_overflowing_gains_rejected_before_the_first_point(self, monkeypatch):
         monkeypatch.setattr(cvwl.optimizer, "build_state", None)  # no state may be built

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvwl import (
+    GainStructure,
     GainVector,
     build_counterexample,
     build_epr_type_i,
@@ -15,7 +16,8 @@ from cvwl import (
     second_moments,
     vacuum_state,
 )
-from cvwl.witnesses import CRITERIA, TABLE, VECTOR, WitnessReport, batch_terms, evaluator
+from cvwl.witnesses import (CRITERIA, TABLE, VECTOR, WitnessReport, batch_reports, batch_terms,
+                            evaluator)
 from bipartition_reference import biseparable_bound
 from conftest import random_biseparable_mixture, random_state
 
@@ -431,3 +433,44 @@ class TestEvaluator:
         # the bound depends only on the gains, so no state is needed to reject them
         with pytest.raises(ValueError, match="bound is not finite"):
             evaluator(cid, gains, gains.n_modes)
+
+
+def layout_gains(cid, n, kind, rng):
+    """Random gains: in the optimizer's structure `kind` for c5/c6/c8,
+    random scalar gains otherwise, or None."""
+    if kind is not None:
+        structure = GainStructure(kind, n)
+        return structure.expand(rng.uniform(-1.5, 1.5, structure.n_params))
+    return random_gains(cid, n, rng)
+
+
+class TestBatchReports:
+    @pytest.mark.parametrize("cid,kind", [
+        (cid, kind) for cid in CRITERIA
+        for kind in (("tied", "epr2") if TABLE[cid].slots is VECTOR else (None,))])
+    def test_each_point_at_its_own_gains_equals_evaluate(self, cid, kind, rng):
+        # the products of these structures keep their classes of equal
+        # columns in a block, so each bound is the bound of its row alone
+        n = TABLE[cid].n_modes or 6
+        for size in (1, 7):
+            states = [random_state(n, rng) for _ in range(size - 1)]
+            states.append(random_biseparable_mixture(n, rng))
+            gains = [layout_gains(cid, n, kind, rng) for _ in states]
+            got = batch_reports(cid, gains, np.stack([second_moments(s) for s in states]))
+            assert got == [evaluate(s, cid, g) for s, g in zip(states, gains)]
+
+    @pytest.mark.parametrize("cid,gains,r", [
+        ("c5", GainVector((1.0, 1e300, 1e300), (1.0, 1e300, 1e300)), 1.0),
+        ("c5", GainVector((1.0, -0.5, -0.5), (1.0, 1.0, 1.0)), 50.0),
+        ("c1", (0.0, 0.0, 1e300), 1.0),
+        ("c1", (0.0, 0.0), 1.0),
+        ("c1", (0.0, math.nan, 0.0), 1.0),
+    ])
+    def test_refuses_what_evaluate_refuses(self, cid, gains, r):
+        # the second of three points fails; the others take the default gains
+        states = [build_ghz(3, 1.0), build_ghz(3, r), build_ghz(3, 1.0)]
+        with pytest.raises(ValueError) as want:
+            evaluate(states[1], cid, gains)
+        with pytest.raises(ValueError) as got:
+            batch_reports(cid, [None, gains, None], np.stack([s.cov for s in states]))
+        assert str(got.value) == str(want.value)
