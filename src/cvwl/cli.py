@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import math
 import re
@@ -453,12 +452,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    :func:`main` call; each call parses into a namespace of its own.  The
-    `--state` choices (the keys of `optimizer.BUILDERS`) and each command's
-    `run=` function are bound at that first build."""
     parser = argparse.ArgumentParser(
         prog="cvwl",
         description="Gaussian multimode entanglement/steering witness toolkit (CSV output)",

@@ -288,21 +288,6 @@ class TestCommands:
         assert main(["reproduce", target]) == EXIT_OK
         assert capsys.readouterr().out == row_major_reproduce(target)
 
-    def test_the_parser_is_built_once_and_shares_no_state(self, capsys):
-        assert cvwl.cli._build_parser() is cvwl.cli._build_parser()
-        build = ["build", "--state", "ghz", "--n", "3", "--r", "1"]
-        argv = {"one": ["--loss", "1", "0.5"],
-                "two": ["--loss", "2", "0.25", "--loss", "3", "0.75"]}
-        outputs = {}
-        for order in (("one", "two"), ("two", "one")):
-            for key in order:
-                assert main(build + argv[key]) == EXIT_OK
-                outputs.setdefault(key, []).append(capsys.readouterr().out)
-        # each call applies its own --loss channels, whichever call came first
-        assert outputs["one"][0] == outputs["one"][1] != outputs["two"][0] == outputs["two"][1]
-        args = cvwl.cli._build_parser().parse_args(["build", "--state", "ghz"])
-        assert args.loss == []
-
     def test_csv_output_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for target in (a, b):
