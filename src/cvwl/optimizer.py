@@ -74,8 +74,8 @@ import numpy as np
 from . import networks, witnesses
 from .networks import build_counterexample, build_epr_type_i, build_epr_type_ii, build_ghz
 from .partitions import BLOCK_SUMS
-from .states import (GainVector, GaussianState, State, lossy_covariances, second_moments,
-                     vacuum_state)
+from .states import (GainVector, GaussianState, State, checked_covariances, lossy_covariances,
+                     second_moments, vacuum_state)
 
 GRID_RANGE = (-2.0, 2.0)
 GRID_STEP = 0.05
@@ -716,9 +716,12 @@ def sweep(builder: str, n: int, criterion: str,
     within BLOCK_SUMS entries.  An eta sweep builds its lossless state once
     and forms each block's covariances in one pass
     (:func:`states.lossy_covariances`, which checks every efficiency of the
-    block first); every point's state is validated on its own, bit for bit
-    the state :func:`states.apply_loss` gives.  Without `optimize`, the
-    criterion is bound to `gains` once (:func:`witnesses.evaluator`), so the
+    block first).  Where a block is evaluated or solved at once, its stack
+    is validated in one pass too (:func:`states.checked_covariances`), and
+    a warm point gets a state of its own; either way each matrix is bit for
+    bit the state :func:`states.apply_loss` gives, and the first point that
+    fails raises its error.  Without `optimize`, the criterion is bound to
+    `gains` once (:func:`witnesses.evaluator`), so the
     gain row and the bounds are computed before the first point, and each
     block's left-hand sides are formed in one batched call; gains at which
     the bound is not finite raise ValueError there, before the first point.
@@ -738,8 +741,14 @@ def sweep(builder: str, n: int, criterion: str,
             raise ValueError("r sweeps build the state at each value; they take no r or loss_modes")
 
         def block_states(block):
-            states = (build_state(builder, n, value) for value in block)
-            return np.empty((len(block), 2 * n, 2 * n)), states
+            return (build_state(builder, n, value) for value in block)
+
+        def block_moments(block):
+            # one state of the block is held at a time
+            moments = np.empty((len(block), 2 * n, 2 * n))
+            for k, state in enumerate(block_states(block)):
+                moments[k] = second_moments(state)
+            return moments
     else:
         if r is None:
             raise ValueError("eta sweeps need the base squeeze parameter r")
@@ -748,8 +757,10 @@ def sweep(builder: str, n: int, criterion: str,
         base = build_state(builder, n, r)
 
         def block_states(block):
-            covs = lossy_covariances(base, loss_modes, block)
-            return covs, (GaussianState(cov) for cov in covs)
+            return (GaussianState(cov) for cov in lossy_covariances(base, loss_modes, block))
+
+        def block_moments(block):
+            return checked_covariances(lossy_covariances(base, loss_modes, block))
 
     values = list(eta_values if r_values is None else r_values)
     report_at = None if optimize else witnesses.evaluator(criterion, gains, n)
@@ -762,24 +773,19 @@ def sweep(builder: str, n: int, criterion: str,
     rows, prev = [], None
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
-        # a buffer of the block's matrices, and its states, each built and
-        # validated only as it is reached: one state of the block is held at a time
-        moments, states = block_states(block)
-        if report_at is not None or solved:
-            for k, state in enumerate(states):
-                moments[k] = second_moments(state)  # over its unvalidated matrix
+        # a block's matrices are freed before the next block's are made
         if report_at is not None:
             rows.extend(SweepRow(value, gains, report)
-                        for value, report in zip(block, report_at(moments)))
+                        for value, report in zip(block, report_at(block_moments(block))))
         elif solved:
-            rows.extend(SweepRow(value, result.gains, result.report) for value, result
-                        in zip(block, solve_exact(moments, criterion, structure, objective)))
+            results = solve_exact(block_moments(block), criterion, structure, objective)
+            rows.extend(SweepRow(value, result.gains, result.report)
+                        for value, result in zip(block, results))
         else:
-            for value, state in zip(block, states):
+            for value, state in zip(block, block_states(block)):
                 result = optimize_gains(state, criterion, structure=structure, init=prev,
                                         objective=objective)
                 rows.append(SweepRow(value, result.gains, result.report))
                 if warm_start:
                     prev = result.params or None
-        del moments, states  # freed before the next block's are made
     return rows

@@ -291,7 +291,9 @@ def apply_beam_splitter(state: GaussianState, i: int, j: int, reflectivity: floa
 def lossy_covariances(state: GaussianState, modes: Union[int, Sequence[int]],
                       etas: Sequence[float]) -> np.ndarray:
     """The covariance of the attenuation channel at each efficiency of
-    `etas`, in one broadcast pass: an (E, 2N, 2N) stack, not validated.
+    `etas`, in one broadcast pass: an (E, 2N, 2N) stack, writable and not
+    yet validated.  :func:`checked_covariances` validates the whole stack
+    in one pass; :func:`apply_loss` makes a GaussianState of one matrix.
 
     `modes` is one 0-based mode index or a sequence of distinct ones; every
     efficiency is checked, in order, before any matrix is formed.  Cross
@@ -318,6 +320,48 @@ def lossy_covariances(state: GaussianState, modes: Union[int, Sequence[int]],
     for mode in modes:
         covs[:, mode::n, mode::n] += noise
     return covs
+
+
+def checked_covariances(covs) -> np.ndarray:
+    """The checks of :class:`GaussianState` on a stack (E, 2N, 2N) of
+    covariances in one vectorized pass.  Returns the symmetrized stack,
+    read-only, each matrix bit for bit the `cov` of its GaussianState.
+
+    Each matrix must hold no non-finite entry and none past half the
+    largest float, be symmetric within SYMMETRY_TOL times its scale, have
+    no eigenvalue below -PHYSICALITY_TOL times the scale (one stacked
+    ``eigvalsh``), and give every mode Var(x)Var(p) - Cov(x,p)^2 >= 1 -
+    PHYSICALITY_TOL.  Where any matrix fails, a GaussianState is built of
+    each in order, so the first that fails raises the error it raises
+    alone, and the messages stay GaussianState's.  A single matrix costs
+    less as a GaussianState, which is why that keeps its own checks.
+    """
+    covs = np.asarray(covs, dtype=float)
+    e, m = len(covs), covs.shape[-1]
+    ok = covs.shape == (e, m, m) and m > 0 and m % 2 == 0
+    if ok:
+        largest = np.maximum(covs.max(axis=(1, 2)), -covs.min(axis=(1, 2)))
+        ok = bool(np.all(largest <= np.finfo(float).max / 2.0))  # NaN fails
+    if ok:
+        scale = np.maximum(1.0, largest)
+        # one buffer holds the asymmetry, then the symmetrized stack
+        sym = covs - covs.transpose(0, 2, 1)
+        ok = np.abs(sym, out=sym).max(axis=(1, 2)) <= SYMMETRY_TOL * scale
+        np.add(covs, covs.transpose(0, 2, 1), out=sym)
+        sym /= 2.0
+        try:
+            ok &= np.linalg.eigvalsh(sym)[:, 0] >= -PHYSICALITY_TOL * scale
+        except np.linalg.LinAlgError:
+            ok[:] = False
+        n, j = m // 2, np.arange(m // 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in GaussianState
+            cxp = sym[:, j, n + j]
+            products = sym[:, j, j] * sym[:, n + j, n + j] - cxp * cxp
+        ok = bool(np.all(ok) and np.all(products >= 1.0 - PHYSICALITY_TOL))
+    if not ok:
+        sym = np.array([GaussianState(cov).cov for cov in covs])
+    sym.setflags(write=False)
+    return sym
 
 
 def apply_loss(state: GaussianState, modes: Union[int, Sequence[int]], eta: float) -> GaussianState:

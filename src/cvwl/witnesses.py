@@ -280,6 +280,19 @@ def batch_bound(crit: Criterion, rows: np.ndarray, n: int, objective: str = "ent
     return bound / 2.0 if crit.combine == "product" else bound
 
 
+def _refuse(crit: Criterion, bound: float, lhs: float, least: float) -> None:
+    """Raise ValueError for a point that :func:`evaluate` refuses, checked
+    in this order: a bound that is not finite, a left-hand side that is not
+    finite, and a least Var u or Var v below zero."""
+    if not math.isfinite(bound):
+        raise ValueError(f"{crit.report_id} bound is not finite at these gains ({bound})")
+    if not math.isfinite(lhs):
+        raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {lhs})")
+    if least < 0.0:
+        raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); "
+                         "the squeezing is past what double precision resolves")
+
+
 def evaluator(criterion: str, gains, n: int):
     """One criterion at fixed gains on n-mode states, as a function of a
     state that returns its :class:`WitnessReport`, or of a stack of second
@@ -301,7 +314,7 @@ def evaluator(criterion: str, gains, n: int):
         bound, steer = batch_bound(crit, rows, n), batch_bound(crit, rows, n, "steering")
     bound, steer = float(bound[0]), None if steer is None else float(steer[0])
     if not math.isfinite(bound):
-        raise ValueError(f"{crit.report_id} bound is not finite at these gains ({bound})")
+        _refuse(crit, bound, 0.0, 0.0)
 
     def report(state):
         moments = state if isinstance(state, np.ndarray) else second_moments(state)
@@ -315,12 +328,10 @@ def evaluator(criterion: str, gains, n: int):
             var_u, var_v, lhs = var_u[:, 0], var_v[:, 0], lhs[:, 0]
         reports = []
         for value, u, v in zip(lhs.tolist(), var_u.tolist(), var_v.tolist()):
-            if not math.isfinite(value):
-                raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {value})")
             least = min(u + v)
-            if least < 0.0:
-                raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); "
-                                 "the squeezing is past what double precision resolves")
+            # checked here and raised by _refuse: a call of evaluate costs no more
+            if not (math.isfinite(value) and least >= 0.0):
+                _refuse(crit, bound, value, least)
             reports.append(WitnessReport(crit.report_id, value, bound, steer))
         return reports if stack else reports[0]
 
@@ -351,14 +362,7 @@ def batch_reports(criterion: str, gains, moments: np.ndarray) -> list:
     reports = []
     for bound, steer, value, u, v in zip(bounds.tolist(), steers, lhs[:, 0].tolist(),
                                          var_u[:, 0].tolist(), var_v[:, 0].tolist()):
-        if not math.isfinite(bound):
-            raise ValueError(f"{crit.report_id} bound is not finite at these gains ({bound})")
-        if not math.isfinite(value):
-            raise ValueError(f"{crit.report_id} is not finite at these gains (lhs {value})")
-        least = min(u + v)
-        if least < 0.0:
-            raise ValueError(f"{crit.report_id}: a variance rounds below zero ({least:g}); "
-                             "the squeezing is past what double precision resolves")
+        _refuse(crit, bound, value, min(u + v))
         reports.append(WitnessReport(crit.report_id, value, bound, steer))
     return reports
 

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,23 @@ def random_biseparable_mixture(n, rng, max_components=4, r_max=2.0):
         layout = group_a + group_b
         components.append((float(w), permute_modes(joint, [layout.index(m) for m in range(n)])))
     return MixedState(components)
+
+
+@contextlib.contextmanager
+def counting_states():
+    """Count the GaussianState constructions made inside the block; the
+    count is the one item of the list it yields."""
+    count, init = [0], GaussianState.__init__
+
+    def counted(self, cov):
+        count[0] += 1
+        init(self, cov)
+
+    GaussianState.__init__ = counted
+    try:
+        yield count
+    finally:
+        GaussianState.__init__ = init
 
 
 @pytest.fixture

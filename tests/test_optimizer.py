@@ -36,7 +36,7 @@ from cvwl.optimizer import _objective, _tied_pieces, default_structure, solve_ex
 from cvwl.partitions import MAX_MODES
 from cvwl.states import GaussianState, lossy_covariances
 from cvwl.witnesses import TABLE, VECTOR, batch_bound, batch_terms, lookup
-from conftest import random_state
+from conftest import counting_states, random_state
 from exact_solve_reference import exact_solve
 from nelder_mead_reference import nelder_mead as reference_nelder_mead
 
@@ -1107,6 +1107,26 @@ class TestSweep:
         rows = sweep("ghz", 3, "c5", eta_values=np.linspace(0.5, 1.0, 6), r=0.8,
                      loss_modes=(1,))
         assert len(rows) == 6 and blocks == [1]  # the first point alone is solved cold
+
+    @pytest.mark.parametrize("criterion,kwargs,per_point", [
+        ("c8", {"optimize": False, "gains": GainStructure("tied", 3).expand((0.7, -0.3))}, 0),
+        ("c3", {"optimize": False}, 0),
+        ("c1", {}, 0),
+        ("c5", {"warm_start": False}, 0),
+        ("c5", {}, 1),
+    ], ids=["fixed-c8", "fixed-c3", "quadratic-c1", "cold-tied-c5", "warm-tied-c5"])
+    def test_eta_sweeps_build_a_state_only_for_a_warm_point(self, criterion, kwargs,
+                                                           per_point):
+        # a block evaluated or solved at once is checked as one stack; only
+        # a warm point, which optimize_gains takes as a state, gets its own
+        with counting_states() as built:
+            build_state("ghz", 3, 0.8)
+        base = built[0]
+        etas = np.linspace(0.1, 1.0, 10)
+        with counting_states() as built:
+            rows = sweep("ghz", 3, criterion, eta_values=etas, r=0.8, loss_modes=(1,), **kwargs)
+        assert len(rows) == len(etas)
+        assert built[0] == base + per_point * len(etas)
 
     def test_overflowing_gains_rejected_before_the_first_point(self, monkeypatch):
         monkeypatch.setattr(cvwl.optimizer, "build_state", None)  # no state may be built

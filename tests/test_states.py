@@ -20,8 +20,8 @@ from cvwl import (
     tensor,
     vacuum_state,
 )
-from cvwl.states import lossy_covariances
-from conftest import permute_modes, random_pure_state, random_state
+from cvwl.states import checked_covariances, lossy_covariances
+from conftest import counting_states, permute_modes, random_pure_state, random_state
 
 # from this squeeze parameter on, exp(2r) rounds past half the largest float,
 # the most that a covariance entry may hold
@@ -269,6 +269,114 @@ class TestLoss:
         mixture = MixedState([(0.5, vacuum_state(2)), (0.5, squeezed)])
         with pytest.raises(ValueError, match="mixtures"):
             apply_loss(mixture, 0, 0.5)
+
+
+def perturbed(cov, kind, rng):
+    """A copy of `cov` that fails one check of GaussianState: an asymmetric
+    entry, a non-finite one, a symmetric pair past half the largest float,
+    a negative eigenvalue (relative to the scale; "negated" keeps every
+    mode's uncertainty product, so only that check fails), or one mode
+    below the uncertainty bound."""
+    cov = np.array(cov)
+    m, n = len(cov), len(cov) // 2
+    scale = max(1.0, float(np.abs(cov).max()))
+    i, j = (int(k) for k in rng.choice(m, size=2, replace=False))
+    if kind == "asymmetric":
+        cov[i, j] += 1e-6 * scale
+    elif kind in ("nan", "inf", "-inf"):
+        cov[i, j] = float(kind)
+    elif kind == "overflowing":
+        cov[i, j] = cov[j, i] = 0.75 * np.finfo(float).max
+    elif kind == "negative eigenvalue":
+        cov -= (np.linalg.eigvalsh(cov)[0] + 1e-6 * scale) * np.eye(m)
+    elif kind == "negated":
+        cov = -cov
+    else:
+        # a congruence by s on mode j's x and p keeps the matrix positive
+        # and scales its uncertainty product by s^4, to at most 1/4
+        mode = i % n
+        s = np.ones(m)
+        s[[mode, n + mode]] = math.sqrt(0.5 / math.sqrt(cov[mode, mode])
+                                        / math.sqrt(cov[n + mode, n + mode]))
+        cov = cov * s[:, None] * s[None, :]
+    return cov
+
+
+def each_checked(covs):
+    """The reference for checked_covariances: a GaussianState of each
+    matrix in order, as (stack of their covs, None) or (None, first error)."""
+    try:
+        return np.array([GaussianState(cov).cov for cov in covs]), None
+    except ValueError as err:
+        return None, err
+
+
+class TestCheckedCovariances:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           preset=st.sampled_from(["random", "ghz", "epr1", "epr2"]),
+           r_max=st.sampled_from([0.5, 2.0, 20.0, 200.0]),
+           etas=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=6),
+           kinds=st.lists(st.sampled_from(["none", "asymmetric", "nan", "inf", "-inf",
+                                           "overflowing", "negative eigenvalue", "negated",
+                                           "uncertainty"]),
+                          max_size=2),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_gaussian_state_of_each_matrix(self, seed, n, preset, r_max, etas, kinds,
+                                                    data):
+        # lossy stacks of random and preset states; up to two matrices, at
+        # distinct random positions, get a fault each.  The first matrix that fails
+        # must raise what it raises alone, even where a later one fails an
+        # earlier check; a stack that passes must pass by the stacked check
+        # alone and equal the states' covariances bit for bit.  Warnings are
+        # errors in this suite (r = 200 overflows the uncertainty products)
+        rng = np.random.default_rng(seed)
+        if preset == "random" or n < (2 if preset == "ghz" else 3):
+            state = random_state(n, rng, r_max=r_max)
+        else:
+            state = build_state(preset, n, float(rng.uniform(0.0, r_max)))
+        order = data.draw(st.permutations(range(n)))
+        covs = lossy_covariances(state, order[:data.draw(st.integers(1, n))], etas)
+        for kind, k in zip(kinds, data.draw(st.permutations(range(len(covs))))):
+            if kind != "none":
+                covs[k] = perturbed(covs[k], kind, rng)
+        want, want_err = each_checked(covs)
+        with counting_states() as built:
+            if want_err is None:
+                got = checked_covariances(covs)
+            else:
+                with pytest.raises(ValueError) as err:
+                    checked_covariances(covs)
+        if want_err is None:
+            assert built[0] == 0
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        else:
+            assert (type(err.value), str(err.value)) == (type(want_err), str(want_err))
+
+    @pytest.mark.parametrize("preset", ["ghz", "epr1", "epr2"])
+    def test_uncertainty_products_that_overflow_pass_without_a_warning(self, preset):
+        # at r = 200 an entry is about e^400 and a product of two overflows
+        # to inf, which passes as in GaussianState; warnings are errors here
+        covs = lossy_covariances(build_state(preset, 3, 200.0), (1,), [0.0, 0.25, 0.5, 1.0])
+        with counting_states() as built:
+            got = checked_covariances(covs)
+        assert built[0] == 0
+        assert got.tobytes() == each_checked(covs)[0].tobytes()
+
+    def test_the_first_matrix_to_fail_raises_though_a_later_fails_an_earlier_check(self, rng):
+        # the stacked pass runs each check over the whole stack in turn, but
+        # the error is the one the earliest failing matrix raises alone
+        covs = lossy_covariances(random_pure_state(3, rng), (0, 2), [0.3, 0.6, 0.9, 1.0])
+        covs[1] = perturbed(covs[1], "uncertainty", rng)
+        covs[2] = perturbed(covs[2], "negative eigenvalue", rng)
+        covs[3] = perturbed(covs[3], "nan", rng)
+        with pytest.raises(PhysicalityError, match="uncertainty bound"):
+            GaussianState(covs[1])
+        with pytest.raises(PhysicalityError, match="uncertainty bound") as err:
+            checked_covariances(covs)
+        assert str(err.value) == str(each_checked(covs)[1])
 
 
 class TestQuadratureVariances:
