@@ -606,3 +606,21 @@ def test_stalled_warm_c6_sweep_matches_its_record(tmp_path):
                  "-o", str(out)]) == EXIT_OK
     record = Path(__file__).resolve().parent / "ref" / "ghz_c6_eta_sweep.csv"
     assert out.read_text() == record.read_text()
+
+
+@pytest.mark.parametrize("record,argv", [
+    ("epr2_c8_eta_sweep.csv", ["sweep", "--state", "epr2", "--n", "4", "--r", "1",
+                               "--criterion", "c8", "--structure", "epr2", "--param", "eta",
+                               "--values", "0.5:1:0.05", "--loss-modes", "2"]),
+    ("ghz_c6_r_sweep.csv", ["sweep", "--state", "ghz", "--n", "3", "--criterion", "c6",
+                            "--param", "r", "--values", "0.1:2:0.1"]),
+    ("epr2_c8_optimize.csv", ["optimize", "--state", "epr2", "--n", "4", "--r", "1",
+                              "--criterion", "c8", "--structure", "epr2"]),
+])
+def test_searches_match_their_records(record, argv, tmp_path):
+    # a warm epr2-structure eta sweep, a warm tied r sweep and a cold
+    # epr2-structure search (grid plus Nelder-Mead): the solver's search
+    # paths, which must keep every bit of their rows
+    out = tmp_path / record
+    assert main(argv + ["-o", str(out)]) == EXIT_OK
+    assert out.read_text() == (Path(__file__).resolve().parent / "ref" / record).read_text()
