@@ -9,7 +9,8 @@ by the parser's `type=` functions, except the `--loss MODE ETA` pairs, which
 `--n` and a network file's inputs give at most MAX_MODES = 20 modes.
 `--gains` gives the gains to evaluate at: on `witness` a list or `auto`
 (search them first), on `sweep` a list that fixes them for every point;
-`optimize` searches the gains and takes no `--gains`.
+`optimize` searches the gains and takes no `--gains`.  `--structure` and
+`--objective` shape a gain search and are refused where none runs.
 The reproduce targets (the paper's Tables I-IV and Figs. 4, 5, 10-12) are
 rows of `REPRODUCE`: each target is a list of column groups.
 `cmd_reproduce` goes column group by column group: it builds each
@@ -273,13 +274,23 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _search_args(args, n: int, search: bool = True):
+    """The gain structure and objective of a gain search on `n` modes.
+    Where no search runs, --structure and --objective would change
+    nothing, and are refused."""
+    if not search and (args.structure or args.objective):
+        raise ConfigError("--structure and --objective apply only to a gain search, "
+                          "and none runs here (fixed or default gains)")
+    return default_structure(args.criterion, n, args.structure), args.objective or "entanglement"
+
+
 def cmd_witness(args) -> int:
     state = _load_state(args)
     gains = _gains_for(args, state.n_modes)
-    if args.gains and gains is None:  # --gains auto: the search evaluates its gains
-        structure = default_structure(args.criterion, state.n_modes, args.structure)
-        result = optimize_gains(state, args.criterion, structure=structure,
-                                objective=args.objective)
+    search = bool(args.gains) and gains is None  # --gains auto: the search evaluates its gains
+    structure, objective = _search_args(args, state.n_modes, search)
+    if search:
+        result = optimize_gains(state, args.criterion, structure=structure, objective=objective)
         gains, report = result.gains, result.report
     else:
         report = witnesses.evaluate(state, args.criterion, gains)
@@ -290,8 +301,8 @@ def cmd_witness(args) -> int:
 
 def cmd_optimize(args) -> int:
     state = _load_state(args)
-    structure = default_structure(args.criterion, state.n_modes, args.structure)
-    result = optimize_gains(state, args.criterion, structure=structure, objective=args.objective)
+    structure, objective = _search_args(args, state.n_modes)
+    result = optimize_gains(state, args.criterion, structure=structure, objective=objective)
     header = ("criterion", "objective") + structure.param_names + (
         "ratio", "ent", "iterations", "converged")
     row = (result.criterion_id, result.objective) + result.params + (
@@ -342,11 +353,10 @@ def _parse_modes(text: str):
 def cmd_sweep(args) -> int:
     n = _mode_count(args.n)
     gains = _gains_for(args, n)
-    kwargs = dict(
-        criterion=args.criterion, optimize=gains is None and not args.no_optimize,
-        gains=gains, structure=default_structure(args.criterion, n, args.structure),
-        objective=args.objective,
-    )
+    search = gains is None and not args.no_optimize
+    structure, objective = _search_args(args, n, search)
+    kwargs = dict(criterion=args.criterion, optimize=search, gains=gains, structure=structure,
+                  objective=objective)
     if args.param == "r":
         kwargs.update(r_values=args.values, r=args.r)
     else:
@@ -374,7 +384,7 @@ def _search(criterion, params=False, structure=None, objective="entanglement"):
     `params`) and the ent ratio."""
     def cells(states, rs):
         layout = default_structure(criterion, states[0].n_modes, structure)
-        results = optimizer.solve_exact(_stack(states), criterion, layout, objective)
+        results = optimizer.solve(_stack(states), criterion, layout, objective)
         return [(result.params if params else ()) + (result.ent_ratio,) for result in results]
     return cells
 
@@ -481,9 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--criterion", required=True, help="criterion id (b1..b3, s1..s3, c1..c10)")
         if gains_help:
             p.add_argument("--gains", help=gains_help)
+        # both choose a gain search, and are refused where none runs
         p.add_argument("--structure", help=f"gain structure ({', '.join(optimizer.KINDS)})")
-        p.add_argument("--objective", default="entanglement",
-                       choices=("entanglement", "steering", "lhs"))
+        p.add_argument("--objective", choices=("entanglement", "steering", "lhs"),
+                       help="objective of the gain search (default entanglement)")
 
     p = sub.add_parser("build", help="emit the second-moment matrix of a state")
     add_state_args(p)

@@ -37,15 +37,14 @@ roots of a quartic, join the candidates.  Where a candidate's mode-0
 gain is exactly 0 (mode 0 uncorrelated with the rest), the infimum lies at
 infinity, and the candidate is a point far along its direction.
 
-Block solves: both exact solves work on a stack of states at once
-(:func:`solve_exact`, which takes an (E, 2N, 2N) stack of second moments):
-one probe call for every state, the (E, k, k) Hessians with a
-least-squares solve per state, or one stacked Cholesky factor and one
-``eigh`` over every state's pieces, one scoring call of the candidates of
-all states with as many of them, and one batched report.  Each state's
-result is bit for bit its own solve alone, and a cold
-:func:`optimize_gains` on an exact path is a block of one.  A sweep solves
-a block of points whose objective needs no seed in one call, and
+Block solves: :func:`solve` takes a stack (E, 2N, 2N) of second moments
+and returns one result per state; :func:`optimize_gains` is its block of
+one.  Both exact solves take the stack at once: one probe call for every
+state, the (E, k, k) Hessians with a least-squares solve per state, or
+one stacked Cholesky factor and one ``eigh`` over every state's pieces,
+and one scoring call of the candidates of all states with as many of
+them.  Each state's result is bit for bit its own solve alone.  A sweep
+solves a block of points whose objective needs no seed in one call, and
 ``cvwl reproduce`` solves each column over its seven squeezings in one.
 
 Search: the ratio objectives of the 3-parameter "epr2" structure score a
@@ -53,13 +52,15 @@ vectorized coarse grid over [-2, 2] per free parameter (step 0.05) and
 refine its best point by Nelder-Mead; the grid does not bracket every
 optimum.  Passing an explicit ``init`` to a c5/c6/c8 ratio objective
 skips the grid or the tied solve (warm start) and refines from there.
-These solve one state at a time.  Every solve first chooses its points
-(the quadratic's minimizer, the tied candidates, a warm ``init`` or the
-grid), then scores them with one batched call of the objective and keeps
-the least; only a searched start, ``init`` or the best grid point, goes
-on to refinement.  The refinement is :func:`_nelder_mead`, SciPy's
-Nelder-Mead step for step, so no command loads SciPy; it scores each
-iteration's candidate points in one batched call of the objective.
+A search runs state by state, each on that state's own second moments.
+Every solve first chooses its points (the quadratic's minimizer, the
+tied candidates, a warm ``init`` or the grid), then scores them with one
+batched call of the objective and keeps the least; only a searched
+start, ``init`` or the best grid point, goes on to refinement.  The
+refinement is :func:`_nelder_mead`, SciPy's Nelder-Mead step for step,
+so no command loads SciPy; it scores each iteration's candidate points
+in one batched call of the objective.  Every solve ends with one
+:func:`witnesses.batch_reports` call for the reports of all its states.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ import numpy as np
 from . import networks, witnesses
 from .networks import build_counterexample, build_epr_type_i, build_epr_type_ii, build_ghz
 from .partitions import BLOCK_SUMS
-from .states import (GainVector, GaussianState, State, checked_covariances, lossy_covariances,
-                     second_moments, vacuum_state)
+from .states import (GainVector, State, checked_covariances, lossy_covariances, second_moments,
+                     vacuum_state)
 
 GRID_RANGE = (-2.0, 2.0)
 GRID_STEP = 0.05
@@ -303,7 +304,7 @@ class OptimizationResult:
 
     `gains` is whatever the criterion's evaluator accepts (a GainVector for
     c5/c6/c8, a tuple of scalar gains otherwise); `ratio` is the minimized
-    objective and `ent_ratio` the entanglement ratio re-evaluated through
+    objective and `report` the criterion re-evaluated through
     :mod:`cvwl.witnesses` at the returned gains.  `iterations` counts
     Nelder-Mead iterations and `converged` reports whether Nelder-Mead met
     its tolerances; an exact solve, or a criterion without free gains,
@@ -315,16 +316,14 @@ class OptimizationResult:
     params: tuple
     gains: object
     ratio: float
-    ent_ratio: float
     report: witnesses.WitnessReport
     iterations: int
     converged: bool
 
-
-def _check_objective(objective: str):
-    if objective not in ("entanglement", "steering", "lhs"):
-        raise ValueError(
-            f"objective must be 'entanglement', 'steering' or 'lhs', got {objective!r}")
+    @property
+    def ent_ratio(self) -> float:
+        """The entanglement ratio of `report`."""
+        return self.report.ent_ratio
 
 
 def _solve_kind(criterion: str, structure: GainStructure, objective: str):
@@ -553,119 +552,97 @@ def _quadratic_minimizer(quadratic, k: int) -> np.ndarray:
     return params
 
 
-def solve_exact(moments: np.ndarray, criterion: str,
-                structure: Optional[GainStructure] = None,
-                objective: str = "entanglement") -> list:
-    """Exact gain solves of a stack of states, one :class:`OptimizationResult`
-    per matrix of `moments` (E, 2N, 2N), each bit for bit the cold
-    :func:`optimize_gains` of its state alone.
+def solve(moments: np.ndarray, criterion: str,
+          structure: Optional[GainStructure] = None,
+          objective: str = "entanglement",
+          init: Optional[Sequence[float]] = None) -> list:
+    """Minimize the normalized witness ratio over a tied gain structure on
+    each state of a stack: one :class:`OptimizationResult` per matrix of
+    `moments` (E, 2N, 2N), each bit for bit the solve of its state alone.
 
-    The objective must have an exact solve (see the module docstring); one
-    that needs a search raises ValueError.  The block probes every state in
-    one :func:`witnesses.batch_terms` call; it then forms the (E, k, k)
-    Hessians of a quadratic, or takes the tied pencils through one stacked
-    Cholesky factor and one ``eigh``.  It scores the candidates of all states
-    with equally many in one call of the objective, keeps each state's least
-    point, and forms every report in one :func:`witnesses.batch_reports`
-    call.  A point that :func:`optimize_gains` refuses makes the block raise
-    the same error; where several points fail, the first at the earliest
-    stage raises.
+    Where the objective has a quadratic with the same minimizers (see the
+    module docstring), the result is its exact minimum and `init` is only
+    checked; so is a cold start (no `init`) of a tied ratio objective, from
+    its stationary candidates.  These solve the block at once: one
+    :func:`witnesses.batch_terms` probe of every state, the (E, k, k)
+    Hessians of a quadratic or the tied pencils through one stacked
+    Cholesky factor and one ``eigh``, and one scoring call of the
+    candidates of all states with equally many.  A search runs state by
+    state: a cold start of the "epr2" structure takes a grid over
+    [-2, 2]^3 and refines the best cell by Nelder-Mead, and a warm start
+    takes `init` alone and refines from it.  Every state's points are
+    scored in one batched call and the least kept; deterministic either
+    way.  The reports of all states are formed in one
+    :func:`witnesses.batch_reports` call.  A non-finite `init`, a warm
+    start at which the objective is not finite, or a result at which the
+    criterion is not finite raises ValueError, and no numpy warning leaks;
+    where several states fail, the first at the earliest stage raises.
     """
-    _check_objective(objective)
+    if objective not in ("entanglement", "steering", "lhs"):
+        raise ValueError(
+            f"objective must be 'entanglement', 'steering' or 'lhs', got {objective!r}")
     cid = str(criterion).strip().lower()
     structure = structure or default_structure(cid, moments.shape[-1] // 2)
-    # as in optimize_gains: overflowing and singular points score NaN or
-    # inf, and a result the criterion refuses is rejected by the reports
+    k = structure.n_params
+    if init is not None and (np.shape(init) != (k,) or not np.all(np.isfinite(init))):
+        raise ValueError(f"init must supply {k} finite values for {structure.param_names}")
+    kind = _solve_kind(cid, structure, objective)
+    # huge gains and far-off points may overflow, and from a squeeze of
+    # r ~ 9.5 a product's Var u Var v may round negative; such a point
+    # scores NaN or inf, and a non-finite result, or one with a variance
+    # below zero, is rejected by the reports
     with np.errstate(all="ignore"):
-        batch = _objective(moments, cid, structure, objective)
-        if batch.kind is None:
-            raise ValueError(f"the {objective} objective of {cid} with structure "
-                             f"{structure.kind!r} has no exact solve")
-        points = batch.candidates()
-        best = [None] * len(points)
-        counts = [len(p) for p in points]
-        # a matrix product may round by how many rows it takes, so each
-        # state is scored among states with as many candidates as it has
-        for count in set(counts):
-            which = [e for e, c in enumerate(counts) if c == count]
-            ratios = batch(np.stack([points[e] for e in which]),
-                           None if len(which) == len(points) else which)
-            for e, values in zip(which, ratios):
-                best[e] = _least(points[e], values)
-    params = [tuple(float(v) for v in np.atleast_1d(p)) for p, _ in best]
+        if kind == "quadratic" or (kind == "tied" and init is None):
+            batch = _objective(moments, cid, structure, objective)
+            points = batch.candidates()
+            best = [None] * len(points)
+            counts = [len(p) for p in points]
+            # a matrix product may round by how many rows it takes, so each
+            # state is scored among states with as many candidates as it has
+            for count in set(counts):
+                which = [e for e, c in enumerate(counts) if c == count]
+                ratios = batch(np.stack([points[e] for e in which]),
+                               None if len(which) == len(points) else which)
+                for e, values in zip(which, ratios):
+                    best[e] = _least(points[e], values) + (0, True)
+        else:
+            # the start of each search: a warm `init`, or the grid
+            if init is not None:
+                points = np.array([init], dtype=float)
+            else:
+                axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
+                points = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+            chunks, best = range(0, len(points), GRID_CHUNK), []
+            for state in moments:  # each on its own 2-D moments
+                batch = _objective(state, cid, structure, objective)
+                start, ratio = _least(points, np.concatenate(
+                    [batch(points[lo:lo + GRID_CHUNK]) for lo in chunks]))
+                if init is not None and not math.isfinite(ratio):
+                    raise ValueError(
+                        f"the {objective} objective is not finite at init {tuple(init)}")
+                # absolute-scale initial simplex: the default one is relative to the
+                # start point and degenerates when warm-starting from gains near zero
+                simplex = np.tile(start, (k + 1, 1))
+                for axis_idx in range(k):
+                    simplex[axis_idx + 1, axis_idx] += 0.1
+                x, fun, iterations, converged = _nelder_mead(
+                    batch, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
+                if np.isfinite(fun) and fun <= ratio:
+                    start, ratio = x, fun
+                best.append((start, ratio, iterations, converged))
+    params = [tuple(float(v) for v in np.atleast_1d(p)) for p, *_ in best]
     gains = [structure.expand(p) for p in params]
     reports = witnesses.batch_reports(cid, gains, moments)
-    return [OptimizationResult(cid, objective, p, g, ratio, report.ent_ratio, report, 0, True)
-            for p, g, (_, ratio), report in zip(params, gains, best, reports)]
+    return [OptimizationResult(cid, objective, p, g, ratio, report, *steps)
+            for p, g, (_, ratio, *steps), report in zip(params, gains, best, reports)]
 
 
 def optimize_gains(state: State, criterion: str,
                    structure: Optional[GainStructure] = None,
                    init: Optional[Sequence[float]] = None,
                    objective: str = "entanglement") -> OptimizationResult:
-    """Minimize the normalized witness ratio over a tied gain structure.
-
-    Where the objective has a quadratic with the same minimizers (see the
-    module docstring), the result is its exact minimum and `init` is only
-    checked; so is a cold start (no `init`) of a tied ratio objective, from
-    its stationary candidates.  Both are :func:`solve_exact` on a block of
-    one.  A search first chooses its points, then scores them all in one
-    batched call and keeps the least: a cold start of the "epr2" structure
-    takes a grid over [-2, 2]^3 and refines the best cell by Nelder-Mead,
-    and a warm start takes `init` alone and refines from it.  Deterministic
-    either way.  A non-finite `init`, a warm start at which the objective is
-    not finite, or a result at which the criterion is not finite raises
-    ValueError, and no numpy warning leaks.
-    """
-    _check_objective(objective)
-    cid = str(criterion).strip().lower()
-    structure = structure or default_structure(cid, state.n_modes)
-    k = structure.n_params
-    if init is not None and (np.shape(init) != (k,) or not np.all(np.isfinite(init))):
-        raise ValueError(f"init must supply {k} finite values for {structure.param_names}")
-    kind = _solve_kind(cid, structure, objective)
-    if kind == "quadratic" or (kind == "tied" and init is None):
-        return solve_exact(second_moments(state)[None], cid, structure, objective)[0]
-    # huge gains and far-off points may overflow, and from a squeeze of
-    # r ~ 9.5 a product's Var u Var v may round negative; such a point
-    # scores NaN or inf, and a non-finite result, or one with a variance
-    # below zero, is rejected by `evaluate` below
-    with np.errstate(all="ignore"):
-        batch = _objective(second_moments(state), cid, structure, objective)
-        # the start of the search: a warm `init`, or the grid
-        if init is not None:
-            points = np.array([init], dtype=float)
-        else:
-            axis = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP / 2.0, GRID_STEP)
-            points = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
-        best, best_ratio = _least(points, np.concatenate(
-            [batch(points[lo:lo + GRID_CHUNK]) for lo in range(0, len(points), GRID_CHUNK)]))
-        if init is not None and not math.isfinite(best_ratio):
-            raise ValueError(f"the {objective} objective is not finite at init {tuple(init)}")
-        # absolute-scale initial simplex: the default one is relative to the
-        # start point and degenerates when warm-starting from gains near zero
-        simplex = np.tile(best, (k + 1, 1))
-        for axis_idx in range(k):
-            simplex[axis_idx + 1, axis_idx] += 0.1
-        x, fun, iterations, converged = _nelder_mead(
-            batch, simplex, xatol=1e-7, fatol=RATIO_TOL, maxiter=2000, maxfev=4000)
-        if np.isfinite(fun) and fun <= best_ratio:
-            best, best_ratio = x, fun
-
-    best = tuple(float(v) for v in np.atleast_1d(best))
-    gains = structure.expand(best)
-    report = witnesses.evaluate(state, cid, gains)
-    return OptimizationResult(
-        criterion_id=cid,
-        objective=objective,
-        params=best,
-        gains=gains,
-        ratio=best_ratio,
-        ent_ratio=report.ent_ratio,
-        report=report,
-        iterations=iterations,
-        converged=converged,
-    )
+    """:func:`solve` on a block of one state."""
+    return solve(second_moments(state)[None], criterion, structure, objective, init)[0]
 
 
 BUILDERS: dict = {
@@ -716,23 +693,24 @@ def sweep(builder: str, n: int, criterion: str,
     within BLOCK_SUMS entries.  An eta sweep builds its lossless state once
     and forms each block's covariances in one pass
     (:func:`states.lossy_covariances`, which checks every efficiency of the
-    block first).  Where a block is evaluated or solved at once, its stack
-    is validated in one pass too (:func:`states.checked_covariances`), and
-    a warm point gets a state of its own; either way each matrix is bit for
-    bit the state :func:`states.apply_loss` gives, and the first point that
-    fails raises its error.  Without `optimize`, the criterion is bound to
-    `gains` once (:func:`witnesses.evaluator`), so the
-    gain row and the bounds are computed before the first point, and each
-    block's left-hand sides are formed in one batched call; gains at which
-    the bound is not finite raise ValueError there, before the first point.
+    block first), validated in one pass too
+    (:func:`states.checked_covariances`), each matrix bit for bit the state
+    :func:`states.apply_loss` gives: only the lossless state is built.  An
+    r sweep stacks the second moments of the states it builds.  Either way
+    the first point that fails raises its error before any point of its
+    block is evaluated or solved.  Without `optimize`, the criterion is
+    bound to `gains` once (:func:`witnesses.evaluator`), so the gain row
+    and the bounds are computed before the first point, and each block's
+    left-hand sides are formed in one batched call; gains at which the
+    bound is not finite raise ValueError there, before the first point.
     With `optimize`, a block whose points need no seed is solved in one
-    :func:`solve_exact` call, bit for bit each point's cold
+    :func:`solve` call, bit for bit each point's cold
     :func:`optimize_gains`: a quadratic objective (c1, c10, "lhs", ...),
-    which ignores the seed, a criterion without free gains, and a tied
-    ratio without `warm_start`.  Otherwise each point is gain-optimized on
-    its own; `warm_start` seeds each point with the previous optimum (the
-    first point is solved cold: exactly for the tied structure, by grid and
-    refinement for "epr2").
+    which ignores the seed, a criterion without free gains, and any cold
+    start (without `warm_start`).  Otherwise `warm_start` seeds each point
+    with the previous optimum, one :func:`solve` of the point's matrix
+    alone (the first point is solved cold: exactly for the tied structure,
+    by grid and refinement for "epr2").
     """
     if (r_values is None) == (eta_values is None):
         raise ValueError("provide exactly one of r_values or eta_values")
@@ -740,15 +718,8 @@ def sweep(builder: str, n: int, criterion: str,
         if r is not None or loss_modes:
             raise ValueError("r sweeps build the state at each value; they take no r or loss_modes")
 
-        def block_states(block):
-            return (build_state(builder, n, value) for value in block)
-
         def block_moments(block):
-            # one state of the block is held at a time
-            moments = np.empty((len(block), 2 * n, 2 * n))
-            for k, state in enumerate(block_states(block)):
-                moments[k] = second_moments(state)
-            return moments
+            return np.stack([second_moments(build_state(builder, n, value)) for value in block])
     else:
         if r is None:
             raise ValueError("eta sweeps need the base squeeze parameter r")
@@ -756,36 +727,31 @@ def sweep(builder: str, n: int, criterion: str,
             raise ValueError("eta sweeps need at least one loss mode")
         base = build_state(builder, n, r)
 
-        def block_states(block):
-            return (GaussianState(cov) for cov in lossy_covariances(base, loss_modes, block))
-
         def block_moments(block):
             return checked_covariances(lossy_covariances(base, loss_modes, block))
 
     values = list(eta_values if r_values is None else r_values)
     report_at = None if optimize else witnesses.evaluator(criterion, gains, n)
     structure = structure or default_structure(criterion, n)
-    kind = _solve_kind(criterion, structure, objective)
-    # a block is solved at once where no point needs a seed: a quadratic's
-    # minimum ignores it, and a tied ratio takes it only when warm
-    solved = optimize and (kind == "quadratic" or (kind == "tied" and not warm_start))
+    # a quadratic's minimum ignores the seed; the other solves take it when warm
+    seeded = optimize and warm_start and _solve_kind(criterion, structure, objective) != "quadratic"
     step = max(1, BLOCK_SUMS // (2 * n) ** 2)
     rows, prev = [], None
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
-        # a block's matrices are freed before the next block's are made
+        moments = block_moments(block)
         if report_at is not None:
             rows.extend(SweepRow(value, gains, report)
-                        for value, report in zip(block, report_at(block_moments(block))))
-        elif solved:
-            results = solve_exact(block_moments(block), criterion, structure, objective)
+                        for value, report in zip(block, report_at(moments)))
+        else:
+            if seeded:
+                results = []
+                for e in range(len(block)):
+                    results += solve(moments[e:e + 1], criterion, structure, objective, init=prev)
+                    prev = results[-1].params
+            else:
+                results = solve(moments, criterion, structure, objective)
             rows.extend(SweepRow(value, result.gains, result.report)
                         for value, result in zip(block, results))
-        else:
-            for value, state in zip(block, block_states(block)):
-                result = optimize_gains(state, criterion, structure=structure, init=prev,
-                                        objective=objective)
-                rows.append(SweepRow(value, result.gains, result.report))
-                if warm_start:
-                    prev = result.params or None
+        del moments  # a block's matrices are freed before the next block's are made
     return rows

@@ -31,13 +31,13 @@ Each criterion is described once, as a row of :data:`TABLE`: its forms as
 (h, g) templates with named gain slots, how their terms combine, and its
 two bounds.  :func:`batch_terms` and :func:`batch_bound` evaluate a row at
 a batch of gain rows, and the gain optimizer calls them on its probes,
-candidates, grid and simplex points.  :func:`evaluator` binds a row to
-one gain row, a batch of one: the bounds depend only on the gains, so it
-computes them once and returns a function of a state, or of a stack of
-second moments, which a fixed-gain sweep calls once per block of points.
-:func:`evaluate` is that function, bound and called once.
-:func:`batch_reports` evaluates a stack of states each at its own gains,
-as a block of exact gain solves ends.
+candidates, grid and simplex points.  The reports come from one loop over
+a stack of second moments: :func:`batch_reports` evaluates a stack of
+states each at its own gains, as a gain solve ends, and :func:`evaluate`
+is its block of one.  :func:`evaluator` binds a row to one gain row: the
+bounds depend only on the gains, so it computes them once and returns a
+function of a stack, which a fixed-gain sweep calls once per block of
+points.
 """
 
 from __future__ import annotations
@@ -293,20 +293,38 @@ def _refuse(crit: Criterion, bound: float, lhs: float, least: float) -> None:
                          "the squeezing is past what double precision resolves")
 
 
+def _reports(crit: Criterion, rows: np.ndarray, bounds, steers, moments: np.ndarray) -> list:
+    """The reports of a stack of second moments (E, 2N, 2N) at gain rows,
+    (1, m) for every matrix or (E, 1, m) of each matrix's own, with a bound
+    and a steering bound per matrix: the left-hand sides are formed in one
+    batched call, and :func:`_refuse` raises at the first point it refuses.
+    Callers ignore overflow and invalid values: huge gains overflow, and
+    what is not finite is refused here."""
+    var_u, var_v, _, lhs = batch_terms(crit, moments)(rows)
+    reports = []
+    for bound, steer, value, u, v in zip(bounds, steers, lhs[:, 0].tolist(),
+                                         var_u[:, 0].tolist(), var_v[:, 0].tolist()):
+        least = min(u + v)
+        # tested inline, so that a report that passes makes no call of _refuse
+        if not (math.isfinite(bound) and math.isfinite(value) and least >= 0.0):
+            _refuse(crit, bound, value, least)
+        reports.append(WitnessReport(crit.report_id, value, bound, steer))
+    return reports
+
+
 def evaluator(criterion: str, gains, n: int):
     """One criterion at fixed gains on n-mode states, as a function of a
-    state that returns its :class:`WitnessReport`, or of a stack of second
-    moments (E, 2N, 2N) that returns the list of their reports in one
-    batched call, each bit for bit the report of its state alone.
+    stack of second moments (E, 2N, 2N) that returns the list of their
+    reports, each bit for bit the report of its state alone.
 
     `gains` is what :func:`evaluate` takes.  The gain row and both bounds
     depend only on the gains, so they are computed here, once; each call
-    then checks the mode count and forms the left-hand sides.  Gains at
-    which the bound is not finite are rejected here, and a left-hand side
-    that is not finite by the call, as is a Var u or Var v below zero: from
-    a squeeze of r ~ 9 the rounding of a variance, about eps e^(2r), can
-    pass its value, and the result is past what double precision resolves.
-    In a stack, the first point that fails raises.
+    then checks the mode count and forms the left-hand sides in one batched
+    call.  Gains at which the bound is not finite are rejected here, and a
+    left-hand side that is not finite by the call, as is a Var u or Var v
+    below zero: from a squeeze of r ~ 9 the rounding of a variance, about
+    eps e^(2r), can pass its value, and the result is past what double
+    precision resolves.  In a stack, the first point that fails raises.
     """
     crit = lookup(criterion)
     rows = crit.gain_row(gains, n)[None]
@@ -316,26 +334,14 @@ def evaluator(criterion: str, gains, n: int):
     if not math.isfinite(bound):
         _refuse(crit, bound, 0.0, 0.0)
 
-    def report(state):
-        moments = state if isinstance(state, np.ndarray) else second_moments(state)
+    def reports(moments: np.ndarray) -> list:
         if moments.shape[-1] != 2 * n:
             raise ValueError(f"{crit.report_id} was bound to {n} modes, "
                              f"got {moments.shape[-1] // 2}")
         with np.errstate(over="ignore", invalid="ignore"):
-            var_u, var_v, _, lhs = batch_terms(crit, moments)(rows)
-        stack = moments.ndim > 2
-        if stack:  # the points lie along the stack; the one gain row's axis goes
-            var_u, var_v, lhs = var_u[:, 0], var_v[:, 0], lhs[:, 0]
-        reports = []
-        for value, u, v in zip(lhs.tolist(), var_u.tolist(), var_v.tolist()):
-            least = min(u + v)
-            # checked here and raised by _refuse: a call of evaluate costs no more
-            if not (math.isfinite(value) and least >= 0.0):
-                _refuse(crit, bound, value, least)
-            reports.append(WitnessReport(crit.report_id, value, bound, steer))
-        return reports if stack else reports[0]
+            return _reports(crit, rows, [bound] * len(moments), [steer] * len(moments), moments)
 
-    return report
+    return reports
 
 
 def batch_reports(criterion: str, gains, moments: np.ndarray) -> list:
@@ -344,7 +350,7 @@ def batch_reports(criterion: str, gains, moments: np.ndarray) -> list:
     (E, 2N, 2N).  The stack's left-hand sides are formed in one batched
     call and its bounds in one call per bound.
 
-    Each report is bit for bit :func:`evaluate`'s of its state wherever the
+    Each report is bit for bit the one its state gets alone wherever the
     block's gain products group into the same classes of equal columns as
     each row's alone (see :func:`partitions.genuine_bounds`): every
     constant bound, and the tied and "epr2" gain layouts of the optimizer.
@@ -354,17 +360,11 @@ def batch_reports(criterion: str, gains, moments: np.ndarray) -> list:
     """
     crit = lookup(criterion)
     n = moments.shape[-1] // 2
-    rows = np.array([crit.gain_row(g, n) for g in gains]).reshape(len(gains), -1)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in evaluator: rejected below
+    rows = np.array([crit.gain_row(g, n) for g in gains])
+    with np.errstate(over="ignore", invalid="ignore"):  # huge gains overflow: rejected below
         bounds, steers = batch_bound(crit, rows, n), batch_bound(crit, rows, n, "steering")
-        var_u, var_v, _, lhs = batch_terms(crit, moments)(rows[:, None])
-    steers = [None] * len(rows) if steers is None else steers.tolist()
-    reports = []
-    for bound, steer, value, u, v in zip(bounds.tolist(), steers, lhs[:, 0].tolist(),
-                                         var_u[:, 0].tolist(), var_v[:, 0].tolist()):
-        _refuse(crit, bound, value, min(u + v))
-        reports.append(WitnessReport(crit.report_id, value, bound, steer))
-    return reports
+        steers = [None] * len(rows) if steers is None else steers.tolist()
+        return _reports(crit, rows[:, None], bounds.tolist(), steers, moments)
 
 
 def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
@@ -375,7 +375,7 @@ def evaluate(state: State, criterion: str, gains=None) -> WitnessReport:
     c1/c2, (g1..g4) for c9, (g1, g4) for c10, and ignored for c3/c4/c7.
     Unsupplied scalar gains default to zero.  Gains so large that the
     left-hand side or the bound is not finite are rejected, and so is a
-    variance that rounds below zero.  This is
-    :func:`evaluator` bound to the state's mode count and called once.
+    variance that rounds below zero.  This is :func:`batch_reports` on a
+    block of one state.
     """
-    return evaluator(criterion, gains, state.n_modes)(state)
+    return batch_reports(criterion, [gains], second_moments(state)[None])[0]

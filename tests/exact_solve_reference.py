@@ -1,6 +1,6 @@
-"""The per-point reference for ``cvwl.optimizer.solve_exact``.
+"""The per-point reference for the exact solves of ``cvwl.optimizer.solve``.
 
-``solve_exact`` solves a stack of states at once: one probe call, stacked
+``solve`` solves a stack of states at once: one probe call, stacked
 Hessians or pencils, one scoring call per candidate count and one batched
 report.  This module solves one state at a time, as ``optimize_gains`` did
 before the stacked solve: the quadratic's minimum-norm minimizer, or the

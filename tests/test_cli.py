@@ -577,6 +577,27 @@ class TestExitCodes:
     def test_unparsable_arguments(self, capsys):
         assert main(["witness", "--state", "nosuch", "--criterion", "c3"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", [
+        "witness --state ghz --n 3 --r 1 --criterion c1 --structure tied",
+        "witness --state ghz --n 3 --r 1 --criterion c5 --gains 0.5,-0.3 --structure epr2",
+        "witness --state ghz --n 3 --r 1 --criterion c5 --objective steering",
+        "sweep --state ghz --n 3 --criterion c5 --values 0.5,1 --no-optimize --objective steering",
+        "sweep --state ghz --n 3 --criterion c5 --values 0.5,1 --gains 0.5,-0.3 --structure tied",
+    ])
+    def test_search_flags_where_no_search_runs_exit_2(self, command, capsys):
+        # these printed rows the flags did not change, with exit 0
+        assert main(command.split()) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "apply only to a gain search" in err
+
+    @pytest.mark.parametrize("command", [
+        "witness --state ghz --n 3 --r 1 --criterion c5 --gains auto --objective steering",
+        "sweep --state ghz --n 3 --criterion c5 --values 0.5,1 --structure tied",
+    ])
+    def test_search_flags_where_a_search_runs(self, command, capsys):
+        assert main(command.split()) == EXIT_OK
+        assert capsys.readouterr().out.count("\n") >= 2
+
 
 def test_readme_cli_block_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

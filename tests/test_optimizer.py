@@ -32,7 +32,7 @@ from cvwl import (
 )
 import cvwl.optimizer
 from cvwl.cli import R_GRID
-from cvwl.optimizer import _objective, _tied_pieces, default_structure, solve_exact
+from cvwl.optimizer import _objective, _tied_pieces, default_structure, solve
 from cvwl.partitions import MAX_MODES
 from cvwl.states import GaussianState, lossy_covariances
 from cvwl.witnesses import TABLE, VECTOR, batch_bound, batch_terms, lookup
@@ -737,7 +737,7 @@ def _stack(states):
 
 
 class TestBlockSolve:
-    """``solve_exact`` against the per-point reference of
+    """``solve`` on exact kinds against the per-point reference of
     ``exact_solve_reference``, which is ``optimize_gains``'s exact solve as
     it was before the stacked solve, bit for bit."""
 
@@ -747,13 +747,13 @@ class TestBlockSolve:
         structure = GainStructure(kind, n)
         states = _lossy_states(n) + [random_state(n, rng) for _ in range(6)]
         for state in states:
-            _assert_as_reference(solve_exact(_stack([state]), cid, structure, objective),
+            _assert_as_reference(solve(_stack([state]), cid, structure, objective),
                                  [state], cid, structure, objective)
             result = optimize_gains(state, cid, structure=structure, objective=objective)
             _assert_as_reference([result], [state], cid, structure, objective)
         order = rng.permutation(len(states))
         for block in ([states[i] for i in order[:7]], [states[i] for i in order[7:]]):
-            _assert_as_reference(solve_exact(_stack(block), cid, structure, objective),
+            _assert_as_reference(solve(_stack(block), cid, structure, objective),
                                  block, cid, structure, objective)
 
     @pytest.mark.parametrize("cid,n,kind,objective", [
@@ -771,7 +771,7 @@ class TestBlockSolve:
         states = [GaussianState(cov) for cov in covs] + [random_state(n, rng) for _ in range(40)]
         states = [states[i] for i in rng.permutation(len(states))]
         assert len(states) == 1000
-        _assert_as_reference(solve_exact(_stack(states), cid, structure, objective),
+        _assert_as_reference(solve(_stack(states), cid, structure, objective),
                              states, cid, structure, objective)
 
     @pytest.mark.parametrize("cid,r", [("c5", 10.0), ("c6", 9.25)])
@@ -792,7 +792,7 @@ class TestBlockSolve:
         structure = GainStructure("tied", 3)
         states = [random_state(3, rng) for _ in range(6)]
         states.insert(2, build_ghz(3, r))
-        results = solve_exact(_stack(states), cid, structure, objective)
+        results = solve(_stack(states), cid, structure, objective)
         assert masks == [[True, True, False, True, True, True, True]]
         _assert_as_reference(results, states, cid, structure, objective)
 
@@ -812,7 +812,7 @@ class TestBlockSolve:
         structure = GainStructure("free_g3", 3)
         states = [build_ghz(3, 1.0), tensor([squeezed, vacuum_state(1), squeezed]),
                   build_epr_type_i(3, 0.5)]
-        results = solve_exact(_stack(states), "c1", structure, "entanglement")
+        results = solve(_stack(states), "c1", structure, "entanglement")
         assert sizes == [(3, 3), (1, 1), (3, 3)]
         _assert_as_reference(results, states, "c1", structure, "entanglement")
 
@@ -822,14 +822,25 @@ class TestBlockSolve:
         with pytest.raises(ValueError) as want:
             optimize_gains(block[1], "c5")
         with pytest.raises(ValueError) as got:
-            solve_exact(_stack(block), "c5")
+            solve(_stack(block), "c5")
         assert str(got.value) == str(want.value)
 
-    def test_a_search_is_refused(self):
-        with pytest.raises(ValueError, match="no exact solve"):
-            solve_exact(_stack([build_ghz(4, 1.0)]), "c8", GainStructure("epr2", 4))
+    @pytest.mark.parametrize("cid,n,kind,init", [
+        ("c8", 4, "epr2", None), ("c8", 4, "epr2", (-1.0, -1.5, 1.0)),
+        ("c5", 3, "tied", (0.9, -0.5)), ("c6", 3, "tied", (0.9, -0.5)),
+    ], ids=["cold-epr2", "warm-epr2", "warm-tied-c5", "warm-tied-c6"])
+    def test_a_stack_of_searches_equals_each_search_alone(self, cid, n, kind, init, rng):
+        # a search runs state by state on the state's own moments; the stack
+        # shares its reports call and, when warm, its init
+        structure = GainStructure(kind, n)
+        states = [apply_loss(build_state("epr2" if kind == "epr2" else "ghz", n, 1.0), 1, eta)
+                  for eta in (1.0, 0.6)] + [random_state(n, rng) for _ in range(3)]
+        results = solve(_stack(states), cid, structure, init=init)
+        assert results == [solve(_stack([state]), cid, structure, init=init)[0]
+                           for state in states]
+        assert any(result.iterations for result in results)
         with pytest.raises(ValueError, match="objective must be"):
-            solve_exact(_stack([build_ghz(3, 1.0)]), "c5", objective="ratio")
+            solve(_stack(states), cid, structure, objective="ratio", init=init)
 
 
 class TestStructures:
@@ -1087,38 +1098,53 @@ class TestSweep:
 
         def counting(moments, *args):
             blocks.append(len(moments))
-            return solve_exact(moments, *args)
+            return solve(moments, *args)
 
-        monkeypatch.setattr(cvwl.optimizer, "solve_exact", counting)
+        monkeypatch.setattr(cvwl.optimizer, "solve", counting)
         monkeypatch.setattr(cvwl.optimizer, "BLOCK_SUMS", 7 * (2 * n) ** 2)
         rows = sweep("ghz", n, criterion, **kwargs)
         assert blocks == [7, 7, 6]
         assert [(row.gains, row.report) for row in rows] == \
             [(result.gains, result.report) for result in want]
 
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_a_failing_point_raises_before_its_block_is_solved(self, warm_start, monkeypatch):
+        calls = []
+
+        def counting(moments, *args, **kwargs):
+            calls.append(len(moments))
+            return solve(moments, *args, **kwargs)
+
+        monkeypatch.setattr(cvwl.optimizer, "solve", counting)
+        with pytest.raises(ValueError, match="squeeze parameter must be"):
+            sweep("ghz", 3, "c5", r_values=(0.5, 1.0, -1.0), warm_start=warm_start)
+        assert calls == []
+
     def test_warm_tied_sweeps_stay_per_point(self, monkeypatch):
-        blocks = []
+        # the first point is solved cold, each later one alone from the last optimum
+        calls = []
 
-        def counting(moments, *args):
-            blocks.append(len(moments))
-            return solve_exact(moments, *args)
+        def counting(moments, *args, init=None):
+            results = solve(moments, *args, init=init)
+            calls.append((len(moments), init, results[0].params))
+            return results
 
-        monkeypatch.setattr(cvwl.optimizer, "solve_exact", counting)
+        monkeypatch.setattr(cvwl.optimizer, "solve", counting)
         rows = sweep("ghz", 3, "c5", eta_values=np.linspace(0.5, 1.0, 6), r=0.8,
                      loss_modes=(1,))
-        assert len(rows) == 6 and blocks == [1]  # the first point alone is solved cold
+        assert len(rows) == 6 and [size for size, _, _ in calls] == [1] * 6
+        assert [init for _, init, _ in calls] == [None] + [params for _, _, params in calls[:-1]]
 
-    @pytest.mark.parametrize("criterion,kwargs,per_point", [
-        ("c8", {"optimize": False, "gains": GainStructure("tied", 3).expand((0.7, -0.3))}, 0),
-        ("c3", {"optimize": False}, 0),
-        ("c1", {}, 0),
-        ("c5", {"warm_start": False}, 0),
-        ("c5", {}, 1),
+    @pytest.mark.parametrize("criterion,kwargs", [
+        ("c8", {"optimize": False, "gains": GainStructure("tied", 3).expand((0.7, -0.3))}),
+        ("c3", {"optimize": False}),
+        ("c1", {}),
+        ("c5", {"warm_start": False}),
+        ("c5", {}),
     ], ids=["fixed-c8", "fixed-c3", "quadratic-c1", "cold-tied-c5", "warm-tied-c5"])
-    def test_eta_sweeps_build_a_state_only_for_a_warm_point(self, criterion, kwargs,
-                                                           per_point):
-        # a block evaluated or solved at once is checked as one stack; only
-        # a warm point, which optimize_gains takes as a state, gets its own
+    def test_eta_sweeps_build_only_their_base_state(self, criterion, kwargs):
+        # every block is checked as one stack, and a warm point is solved on
+        # its matrix of that stack
         with counting_states() as built:
             build_state("ghz", 3, 0.8)
         base = built[0]
@@ -1126,7 +1152,7 @@ class TestSweep:
         with counting_states() as built:
             rows = sweep("ghz", 3, criterion, eta_values=etas, r=0.8, loss_modes=(1,), **kwargs)
         assert len(rows) == len(etas)
-        assert built[0] == base + per_point * len(etas)
+        assert built[0] == base
 
     def test_overflowing_gains_rejected_before_the_first_point(self, monkeypatch):
         monkeypatch.setattr(cvwl.optimizer, "build_state", None)  # no state may be built

@@ -383,7 +383,8 @@ class TestEvaluator:
             states = [random_state(n, rng) for _ in range(3)]
             states.append(random_biseparable_mixture(n, rng))
             for state in states:
-                got, want = report_at(state), evaluate(state, cid, gains)
+                got = report_at(second_moments(state)[None])[0]
+                want = evaluate(state, cid, gains)
                 assert got == want
                 # the left-hand side is batch_terms' at the gain row, bit for bit
                 rows = TABLE[cid].gain_row(gains, n)[None]
@@ -413,7 +414,7 @@ class TestEvaluator:
     @pytest.mark.parametrize("cid,n,other", [("c8", 4, 5), ("c8", 6, 3), ("c5", 3, 4)])
     def test_state_of_another_size_rejected(self, cid, n, other):
         with pytest.raises(ValueError, match=f"bound to {n} modes"):
-            evaluator(cid, None, n)(build_ghz(other, 1.0))
+            evaluator(cid, None, n)(build_ghz(other, 1.0).cov[None])
 
     @pytest.mark.parametrize("cid,r,gains", [
         ("c5", 50.0, GainVector((1.0, -0.5, -0.5), (1.0, 1.0, 1.0))),
