@@ -302,8 +302,9 @@ def _reports(crit: Criterion, rows: np.ndarray, bounds, steers, moments: np.ndar
     what is not finite is refused here."""
     var_u, var_v, _, lhs = batch_terms(crit, moments)(rows)
     reports = []
-    for bound, steer, value, u, v in zip(bounds, steers, lhs[:, 0].tolist(),
-                                         var_u[:, 0].tolist(), var_v[:, 0].tolist()):
+    # each matrix's one row of lhs, Var u and Var v
+    for bound, steer, (value,), (u,), (v,) in zip(bounds, steers, lhs.tolist(),
+                                               var_u.tolist(), var_v.tolist()):
         least = min(u + v)
         # tested inline, so that a report that passes makes no call of _refuse
         if not (math.isfinite(bound) and math.isfinite(value) and least >= 0.0):
